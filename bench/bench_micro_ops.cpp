@@ -1,5 +1,6 @@
 // Micro benchmarks of the kernels the experiments stand on: matmul, the
-// im2col-based conv, the MLP generator/discriminator forward+backward,
+// im2col-based conv, the conv lowering at the CNN generator's geometry,
+// ReLU backward, the MLP generator/discriminator forward+backward,
 // the per-iteration worker feedback, swap serialization, feedback
 // compression, the per-message wire path of both transports (SimNetwork
 // mailbox, TCP framing, and a real loopback socket round trip), and the
@@ -33,6 +34,7 @@
 #include "dist/tcp_network.hpp"
 #include "gan/arch.hpp"
 #include "gan/trainer.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "obs/sink.hpp"
@@ -181,6 +183,56 @@ void bench_im2col(Harness& h) {
   h.run("BM_Im2Col", 0, [&] {
     Tensor cols = im2col(x, 3, 3, 2, 1, oh, ow);
     volatile float sink = cols[0];
+    (void)sink;
+  });
+}
+
+void bench_conv_lowering(Harness& h) {
+  // The CNN generator's ConvT1 (32 -> 32 channels, 14x14 -> 28x28, k4
+  // s2 p1) at batch 32: its forward scatters the GEMM's patches into
+  // the 28x28 output with col2im, its backward gathers the output
+  // gradient back into patches with im2col. Both move a (6272, 512)
+  // patch matrix (12.8 MB); the workspace-style `_into` calls keep the
+  // figure free of allocation.
+  Rng rng(14);
+  const std::size_t b = 32, c = 32, hw = 28, k = 4, s = 2, p = 1;
+  Tensor img = Tensor::randn({b, c, hw, hw}, rng);
+  Tensor cols;
+  std::size_t oh = 0, ow = 0;
+  im2col_into(img, k, k, s, p, oh, ow, cols);
+  h.run("BM_Im2Col/convT", 0, [&] {
+    im2col_into(img, k, k, s, p, oh, ow, cols);
+    volatile float sink = cols[0];
+    (void)sink;
+  });
+  Tensor patches = Tensor::randn(cols.shape(), rng);
+  h.run("BM_Col2Im/convT", 0, [&] {
+    col2im_into(patches, b, c, hw, hw, k, k, s, p, oh, ow, img);
+    volatile float sink = img[0];
+    (void)sink;
+  });
+}
+
+void bench_relu(Harness& h) {
+  // ReLU over the generator's widest activation (32 x 32 x 28 x 28 =
+  // 802,816 elements) with random signs, so the mask is as
+  // unpredictable as in training. The layer's workspace is reset by its
+  // forward, so a backward iteration re-runs the forward first:
+  // BM_ReLUBackward minus BM_ReLUForward is the backward's own cost.
+  Rng rng(15);
+  const std::size_t n = 32 * 32 * 28 * 28;
+  Tensor x = Tensor::randn({n}, rng);
+  Tensor grad = Tensor::randn({n}, rng);
+  nn::ReLU relu;
+  h.run("BM_ReLUForward", 0, [&] {
+    const Tensor& y = relu.forward_ws(x, true);
+    volatile float sink = y[0];
+    (void)sink;
+  });
+  h.run("BM_ReLUBackward", 0, [&] {
+    relu.forward_ws(x, true);
+    const Tensor& dx = relu.backward_ws(grad);
+    volatile float sink = dx[0];
     (void)sink;
   });
 }
@@ -481,6 +533,8 @@ int main(int argc, char** argv) {
   bench_matmul_gan_shaped(h);
   bench_conv2d_forward(h);
   bench_im2col(h);
+  bench_conv_lowering(h);
+  bench_relu(h);
   bench_mlp_generator_forward(h);
   bench_worker_feedback(h);
   bench_disc_learning_step(h);

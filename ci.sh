@@ -47,15 +47,16 @@ if [ "${1:-}" = "--tsan" ]; then
   exit 0
 fi
 
-# `ci.sh --asan`: AddressSanitizer pass over the dist/core/obs tests in
-# its own build tree, then a traced sim run fed through the trace-merge
-# tool — the JSON parser and merger chew on real generated input under
-# the allocator checks — and exit.
+# `ci.sh --asan`: AddressSanitizer pass over the dist/core/obs tests and
+# the tensor/nn kernel tests (the conv lowering's interior and border
+# pointer paths among them) in its own build tree, then a traced sim run
+# fed through the trace-merge tool — the JSON parser and merger chew on
+# real generated input under the allocator checks — and exit.
 if [ "${1:-}" = "--asan" ]; then
   cmake -B build-asan -S . -DMDGAN_ASAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
   cmake --build build-asan -j"$(nproc)"
-  cd build-asan && ctest --output-on-failure -R '^(dist|core|obs)_'
+  cd build-asan && ctest --output-on-failure -R '^(dist|core|obs|tensor|nn)_'
   echo "--- asan smoke: traced sim run through the trace merger"
   ./mdgan_node --role=sim --workers=2 --iters=2 \
     --trace-out=asan_trace.json --metrics-out=asan_metrics.jsonl \

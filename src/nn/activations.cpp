@@ -42,14 +42,18 @@ const Tensor& ReLU::forward_ws(const Tensor& x, bool /*train*/) {
 
 const Tensor& ReLU::backward_ws(const Tensor& grad_out) {
   check_backward_shape(cached_output_, grad_out, "ReLU");
-  // y > 0 iff x > 0, so the output is its own mask.
+  // y > 0 iff x > 0, so the output is its own mask. The gradient is
+  // loaded unconditionally so the select compiles to a vector blend
+  // rather than a mispredicting branch; a select (not a multiply by the
+  // mask) still yields exactly 0 for a NaN or inf gradient where y <= 0.
   Tensor& g = ws_.acquire(grad_out.shape());
   const float* __restrict py = cached_output_->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
   parallel_for(g.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
     for (std::size_t i = e0; i < e1; ++i) {
-      pd[i] = py[i] > 0.f ? pg[i] : 0.f;
+      const float gi = pg[i];
+      pd[i] = py[i] > 0.f ? gi : 0.f;
     }
   });
   return g;

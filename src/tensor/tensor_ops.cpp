@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/thread_pool.hpp"
 
@@ -182,6 +183,158 @@ Tensor im2col(const Tensor& input, std::size_t kh, std::size_t kw,
   return cols;
 }
 
+namespace {
+
+// Geometry shared by im2col and col2im: NCHW images of `ch` x (h, w)
+// and a (out_h, out_w) grid of kh x kw windows placed at stride
+// `stride` with `pad` zeros of padding on every side. One patch row per
+// (b, oy, ox), laid out as (c, ky, kx).
+struct Lowering {
+  std::size_t ch, h, w, kh, kw, stride, pad, out_h, out_w;
+  std::size_t patch() const { return ch * kh * kw; }
+};
+
+// Taps [lo, hi) of a k-wide window whose first tap sits at image
+// coordinate `origin` (possibly negative) that land inside [0, extent).
+// An empty range comes back as lo == hi == 0.
+struct Taps {
+  std::size_t lo, hi;
+};
+Taps valid_taps(std::ptrdiff_t origin, std::size_t k, std::size_t extent) {
+  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -origin);
+  const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
+      static_cast<std::ptrdiff_t>(k),
+      static_cast<std::ptrdiff_t>(extent) - origin);
+  if (hi <= lo) return {0, 0};
+  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
+}
+
+// One kh x kw window: patch row `row` of batch element `b`, whose first
+// tap sits at image coordinate (iy0, ix0) (possibly negative), with the
+// taps that land inside the image.
+struct Window {
+  std::size_t b, row;
+  std::ptrdiff_t iy0, ix0;
+  Taps ty, tx;
+  bool interior;  // every tap is inside the image
+};
+
+// Visits the windows of batch elements [b0, b1) in (b, oy, ox) order,
+// resolving the ky range once per oy and the kx range once per ox. The
+// kernels then walk a row's taps in (c, ky, kx) order — the order of
+// the textbook loops. Within one row every tap maps to a distinct image
+// element, so col2im adds the contributions to any one element in
+// (oy, ox) order and its float sums, hence its bits, match those loops.
+template <typename Fn>
+void for_each_window(const Lowering& g, std::size_t b0, std::size_t b1,
+                     Fn&& fn) {
+  for (std::size_t b = b0; b < b1; ++b) {
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * g.stride) -
+                                 static_cast<std::ptrdiff_t>(g.pad);
+      const Taps ty = valid_taps(iy0, g.kh, g.h);
+      const bool rows_inside = ty.lo == 0 && ty.hi == g.kh;
+      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+        const std::ptrdiff_t ix0 =
+            static_cast<std::ptrdiff_t>(ox * g.stride) -
+            static_cast<std::ptrdiff_t>(g.pad);
+        const Taps tx = valid_taps(ix0, g.kw, g.w);
+        fn(Window{b, (b * g.out_h + oy) * g.out_w + ox, iy0, ix0, ty, tx,
+                  rows_inside && tx.lo == 0 && tx.hi == g.kw});
+      }
+    }
+  }
+}
+
+// Interior windows take a branch-free copy. KW is the kernel width when
+// known at compile time, 0 for the generic fallback.
+template <std::size_t KW>
+void im2col_batches(const Lowering& g, const float* in, float* cols,
+                    std::size_t b0, std::size_t b1) {
+  const std::size_t kw = KW ? KW : g.kw;
+  const std::size_t kh = g.kh, hw = g.h * g.w, patch = g.patch();
+  for_each_window(g, b0, b1, [&](const Window& win) {
+    const float* img = in + win.b * g.ch * hw;
+    float* __restrict row = cols + win.row * patch;
+    if (win.interior) {
+      const float* __restrict src = img + win.iy0 * g.w + win.ix0;
+      for (std::size_t c = 0; c < g.ch; ++c) {
+        for (std::size_t ky = 0; ky < kh; ++ky) {
+          const float* __restrict s = src + c * hw + ky * g.w;
+          float* __restrict d = row + (c * kh + ky) * kw;
+          for (std::size_t kx = 0; kx < kw; ++kx) d[kx] = s[kx];
+        }
+      }
+      return;
+    }
+    for (std::size_t c = 0; c < g.ch; ++c) {
+      for (std::size_t ky = 0; ky < kh; ++ky) {
+        float* __restrict d = row + (c * kh + ky) * kw;
+        for (std::size_t kx = 0; kx < kw; ++kx) d[kx] = 0.f;
+        if (ky < win.ty.lo || ky >= win.ty.hi) continue;
+        const float* __restrict s =
+            img + c * hw + (win.iy0 + static_cast<std::ptrdiff_t>(ky)) * g.w;
+        for (std::size_t kx = win.tx.lo; kx < win.tx.hi; ++kx) {
+          d[kx] = s[win.ix0 + static_cast<std::ptrdiff_t>(kx)];
+        }
+      }
+    }
+  });
+}
+
+template <std::size_t KW>
+void col2im_batches(const Lowering& g, const float* cols, float* out,
+                    std::size_t b0, std::size_t b1) {
+  const std::size_t kw = KW ? KW : g.kw;
+  const std::size_t kh = g.kh, hw = g.h * g.w, patch = g.patch();
+  for_each_window(g, b0, b1, [&](const Window& win) {
+    float* img = out + win.b * g.ch * hw;
+    const float* __restrict row = cols + win.row * patch;
+    if (win.interior) {
+      float* __restrict dst = img + win.iy0 * g.w + win.ix0;
+      for (std::size_t c = 0; c < g.ch; ++c) {
+        for (std::size_t ky = 0; ky < kh; ++ky) {
+          float* __restrict d = dst + c * hw + ky * g.w;
+          const float* __restrict s = row + (c * kh + ky) * kw;
+          for (std::size_t kx = 0; kx < kw; ++kx) d[kx] += s[kx];
+        }
+      }
+      return;
+    }
+    for (std::size_t c = 0; c < g.ch; ++c) {
+      for (std::size_t ky = win.ty.lo; ky < win.ty.hi; ++ky) {
+        float* __restrict d =
+            img + c * hw + (win.iy0 + static_cast<std::ptrdiff_t>(ky)) * g.w;
+        const float* __restrict s = row + (c * kh + ky) * kw;
+        for (std::size_t kx = win.tx.lo; kx < win.tx.hi; ++kx) {
+          d[win.ix0 + static_cast<std::ptrdiff_t>(kx)] += s[kx];
+        }
+      }
+    }
+  });
+}
+
+// Calls fn(std::integral_constant<std::size_t, KW>) with KW = kw for the
+// kernel widths the architectures use, KW = 0 (runtime width) otherwise.
+template <typename Fn>
+void dispatch_kernel_width(std::size_t kw, Fn&& fn) {
+  switch (kw) {
+    case 3: fn(std::integral_constant<std::size_t, 3>{}); break;
+    case 4: fn(std::integral_constant<std::size_t, 4>{}); break;
+    default: fn(std::integral_constant<std::size_t, 0>{}); break;
+  }
+}
+
+// Batch elements touch disjoint patch rows and disjoint image planes,
+// so both kernels parallelize across them.
+std::size_t batch_grain(const Lowering& g) {
+  const std::size_t per_batch = g.out_h * g.out_w * g.patch();
+  return std::max<std::size_t>(
+      1, kParallelGrainElems / std::max<std::size_t>(1, per_batch));
+}
+
+}  // namespace
+
 void im2col_into(const Tensor& input, std::size_t kh, std::size_t kw,
                  std::size_t stride, std::size_t pad, std::size_t& out_h,
                  std::size_t& out_w, Tensor& cols) {
@@ -193,44 +346,17 @@ void im2col_into(const Tensor& input, std::size_t kh, std::size_t kw,
   }
   out_h = (h + 2 * pad - kh) / stride + 1;
   out_w = (w + 2 * pad - kw) / stride + 1;
-  const std::size_t patch = ch * kh * kw;
-  cols.resize({batch * out_h * out_w, patch});
+  const Lowering g{ch, h, w, kh, kw, stride, pad, out_h, out_w};
+  cols.resize({batch * out_h * out_w, g.patch()});
   const float* in = input.data();
   float* pc = cols.data();
-  const std::size_t out_h_local = out_h, out_w_local = out_w;
-
-  const std::size_t per_batch = out_h * out_w * patch;
-  parallel_for(
-      batch, std::max<std::size_t>(1, kParallelGrainElems / std::max<std::size_t>(
-                                                        1, per_batch)),
-      [&, out_h_local, out_w_local](std::size_t b_begin, std::size_t b_end) {
-        for (std::size_t b = b_begin; b < b_end; ++b) {
-          for (std::size_t oy = 0; oy < out_h_local; ++oy) {
-            for (std::size_t ox = 0; ox < out_w_local; ++ox) {
-              float* row =
-                  pc + ((b * out_h_local + oy) * out_w_local + ox) * patch;
-              for (std::size_t c = 0; c < ch; ++c) {
-                for (std::size_t ky = 0; ky < kh; ++ky) {
-                  const std::ptrdiff_t iy =
-                      static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                      static_cast<std::ptrdiff_t>(pad);
-                  for (std::size_t kx = 0; kx < kw; ++kx) {
-                    const std::ptrdiff_t ix =
-                        static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                        static_cast<std::ptrdiff_t>(pad);
-                    float v = 0.f;
-                    if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(h) &&
-                        ix >= 0 && ix < static_cast<std::ptrdiff_t>(w)) {
-                      v = in[((b * ch + c) * h + iy) * w + ix];
-                    }
-                    row[(c * kh + ky) * kw + kx] = v;
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
+  dispatch_kernel_width(kw, [&](auto kw_const) {
+    parallel_for(batch, batch_grain(g),
+                 [&](std::size_t b_begin, std::size_t b_end) {
+                   im2col_batches<decltype(kw_const)::value>(g, in, pc,
+                                                             b_begin, b_end);
+                 });
+  });
 }
 
 Tensor col2im(const Tensor& cols, std::size_t batch, std::size_t channels,
@@ -247,9 +373,10 @@ void col2im_into(const Tensor& cols, std::size_t batch, std::size_t channels,
                  std::size_t height, std::size_t width, std::size_t kh,
                  std::size_t kw, std::size_t stride, std::size_t pad,
                  std::size_t out_h, std::size_t out_w, Tensor& img) {
-  const std::size_t patch = channels * kh * kw;
+  const Lowering g{channels, height, width, kh, kw, stride, pad, out_h,
+                   out_w};
   if (cols.rank() != 2 || cols.dim(0) != batch * out_h * out_w ||
-      cols.dim(1) != patch) {
+      cols.dim(1) != g.patch()) {
     throw std::invalid_argument("col2im: cols shape mismatch, got " +
                                 shape_to_string(cols.shape()));
   }
@@ -257,42 +384,13 @@ void col2im_into(const Tensor& cols, std::size_t batch, std::size_t channels,
   img.zero();
   const float* pc = cols.data();
   float* out = img.data();
-  // Batches are independent -> safe to parallelize across them (each
-  // output element belongs to exactly one batch index).
-  const std::size_t per_batch = out_h * out_w * patch;
-  parallel_for(
-      batch, std::max<std::size_t>(1, kParallelGrainElems / std::max<std::size_t>(
-                                                        1, per_batch)),
-      [&](std::size_t b_begin, std::size_t b_end) {
-        for (std::size_t b = b_begin; b < b_end; ++b) {
-          for (std::size_t oy = 0; oy < out_h; ++oy) {
-            for (std::size_t ox = 0; ox < out_w; ++ox) {
-              const float* row = pc + ((b * out_h + oy) * out_w + ox) * patch;
-              for (std::size_t c = 0; c < channels; ++c) {
-                for (std::size_t ky = 0; ky < kh; ++ky) {
-                  const std::ptrdiff_t iy =
-                      static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                      static_cast<std::ptrdiff_t>(pad);
-                  if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(height)) {
-                    continue;
-                  }
-                  for (std::size_t kx = 0; kx < kw; ++kx) {
-                    const std::ptrdiff_t ix =
-                        static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                        static_cast<std::ptrdiff_t>(pad);
-                    if (ix < 0 ||
-                        ix >= static_cast<std::ptrdiff_t>(width)) {
-                      continue;
-                    }
-                    out[((b * channels + c) * height + iy) * width + ix] +=
-                        row[(c * kh + ky) * kw + kx];
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
+  dispatch_kernel_width(kw, [&](auto kw_const) {
+    parallel_for(batch, batch_grain(g),
+                 [&](std::size_t b_begin, std::size_t b_end) {
+                   col2im_batches<decltype(kw_const)::value>(g, pc, out,
+                                                             b_begin, b_end);
+                 });
+  });
 }
 
 Tensor map(const Tensor& t, float (*fn)(float)) {

@@ -66,6 +66,8 @@ void im2col_into(const Tensor& input, std::size_t kh, std::size_t kw,
 
 // Adjoint of im2col: scatters patch rows back into an NCHW image tensor
 // (accumulating overlaps). `cols` must be (B*out_h*out_w, C*kh*kw).
+// Overlapping contributions to an image element are summed in (oy, ox)
+// order, whatever the thread count, so the result is bit-reproducible.
 Tensor col2im(const Tensor& cols, std::size_t batch, std::size_t channels,
               std::size_t height, std::size_t width, std::size_t kh,
               std::size_t kw, std::size_t stride, std::size_t pad,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "helpers/gradient_check.hpp"
 
@@ -63,6 +65,50 @@ TEST(Activations, LeakyReLUGradient) {
 TEST(Activations, TanhGradient) { check_activation_gradient(Tanh{}, 33); }
 TEST(Activations, SigmoidGradient) {
   check_activation_gradient(Sigmoid{}, 34);
+}
+
+TEST(Activations, ReLUBackwardBitExactSelect) {
+  // Pins the backward as a select on y > 0, not a multiply by a mask:
+  // where y <= 0 the result is +0.0 even for a NaN or inf gradient
+  // (NaN * 0 would be NaN), and where y > 0 the gradient passes through
+  // bit for bit. Sized past the parallel grain with an odd tail so
+  // every chunk boundary and vector remainder is covered.
+  const std::size_t n = 70001;
+  Rng rng(35);
+  Tensor x = Tensor::randn({n}, rng);
+  Tensor grad = Tensor::randn({n}, rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < n; i += 7) x[i] = (i / 7) % 2 ? 0.f : -0.f;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (x[i] > 0.f) continue;
+    switch (i % 5) {
+      case 0: grad[i] = nan; break;
+      case 1: grad[i] = inf; break;
+      case 2: grad[i] = -inf; break;
+      case 3: grad[i] = -0.f; break;
+      default: break;
+    }
+  }
+  // NaN and inf must also pass through untouched where y > 0.
+  std::size_t passed_nonfinite = 0;
+  for (std::size_t i = 0; i < n && passed_nonfinite < 4; ++i) {
+    if (x[i] > 0.f) grad[i] = passed_nonfinite++ % 2 ? inf : nan;
+  }
+
+  ReLU relu;
+  relu.forward_ws(x, true);
+  const Tensor& dx = relu.backward_ws(grad);
+  ASSERT_EQ(dx.numel(), n);
+  std::size_t zeroed_nonfinite = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float want = x[i] > 0.f ? grad[i] : 0.f;
+    ASSERT_EQ(std::memcmp(dx.data() + i, &want, sizeof(float)), 0)
+        << "i=" << i << " x=" << x[i] << " grad=" << grad[i]
+        << " dx=" << dx[i];
+    if (!(x[i] > 0.f) && !std::isfinite(grad[i])) ++zeroed_nonfinite;
+  }
+  EXPECT_GT(zeroed_nonfinite, n / 5);
 }
 
 TEST(Activations, BackwardShapeMismatchThrows) {

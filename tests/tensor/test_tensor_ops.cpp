@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 namespace mdgan {
 namespace {
@@ -146,6 +148,174 @@ TEST(TensorOps, Col2ImIsAdjointOfIm2Col) {
   for (std::size_t i = 0; i < cols.numel(); ++i) lhs += cols[i] * y[i];
   for (std::size_t i = 0; i < x.numel(); ++i) rhs += x[i] * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-2);
+}
+
+// The textbook lowering loops: one bounds check per tap, rows visited
+// in (b, oy, ox) order and taps in (c, ky, kx) order. The fast kernels
+// must reproduce them bit for bit — col2im included, whose per-element
+// float sums depend on that visit order.
+void reference_im2col(const Tensor& input, std::size_t kh, std::size_t kw,
+                      std::size_t stride, std::size_t pad, std::size_t oh,
+                      std::size_t ow, Tensor& cols) {
+  const std::size_t batch = input.dim(0), ch = input.dim(1),
+                    h = input.dim(2), w = input.dim(3);
+  const std::size_t patch = ch * kh * kw;
+  cols.resize({batch * oh * ow, patch});
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        float* row = cols.data() + ((b * oh + oy) * ow + ox) * patch;
+        for (std::size_t c = 0; c < ch; ++c) {
+          for (std::size_t ky = 0; ky < kh; ++ky) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                static_cast<std::ptrdiff_t>(pad);
+            for (std::size_t kx = 0; kx < kw; ++kx) {
+              const std::ptrdiff_t ix =
+                  static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                  static_cast<std::ptrdiff_t>(pad);
+              float v = 0.f;
+              if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(h) && ix >= 0 &&
+                  ix < static_cast<std::ptrdiff_t>(w)) {
+                v = input.data()[((b * ch + c) * h + iy) * w + ix];
+              }
+              row[(c * kh + ky) * kw + kx] = v;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void reference_col2im(const Tensor& cols, std::size_t batch, std::size_t ch,
+                      std::size_t h, std::size_t w, std::size_t kh,
+                      std::size_t kw, std::size_t stride, std::size_t pad,
+                      std::size_t oh, std::size_t ow, Tensor& img) {
+  const std::size_t patch = ch * kh * kw;
+  img.resize({batch, ch, h, w});
+  img.zero();
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const float* row = cols.data() + ((b * oh + oy) * ow + ox) * patch;
+        for (std::size_t c = 0; c < ch; ++c) {
+          for (std::size_t ky = 0; ky < kh; ++ky) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                static_cast<std::ptrdiff_t>(pad);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+            for (std::size_t kx = 0; kx < kw; ++kx) {
+              const std::ptrdiff_t ix =
+                  static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                  static_cast<std::ptrdiff_t>(pad);
+              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+              img.data()[((b * ch + c) * h + iy) * w + ix] +=
+                  row[(c * kh + ky) * kw + kx];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Runs both lowerings against the reference at one geometry; returns
+// false (after recording a failure) on the first mismatch.
+bool lowering_matches_reference(std::size_t batch, std::size_t ch,
+                                std::size_t h, std::size_t w, std::size_t kh,
+                                std::size_t kw, std::size_t stride,
+                                std::size_t pad, Rng& rng) {
+  const std::string where =
+      "B=" + std::to_string(batch) + " C=" + std::to_string(ch) + " " +
+      std::to_string(h) + "x" + std::to_string(w) + " k" +
+      std::to_string(kh) + "x" + std::to_string(kw) + " s" +
+      std::to_string(stride) + " p" + std::to_string(pad);
+  const Tensor x = Tensor::randn({batch, ch, h, w}, rng);
+  std::size_t oh = 0, ow = 0;
+  Tensor cols, want_cols;
+  im2col_into(x, kh, kw, stride, pad, oh, ow, cols);
+  EXPECT_EQ(oh, (h + 2 * pad - kh) / stride + 1) << where;
+  EXPECT_EQ(ow, (w + 2 * pad - kw) / stride + 1) << where;
+  reference_im2col(x, kh, kw, stride, pad, oh, ow, want_cols);
+  if (!same_bits(cols, want_cols)) {
+    ADD_FAILURE() << "im2col differs from the reference at " << where;
+    return false;
+  }
+  const Tensor y = Tensor::randn(cols.shape(), rng);
+  Tensor img, want_img;
+  col2im_into(y, batch, ch, h, w, kh, kw, stride, pad, oh, ow, img);
+  reference_col2im(y, batch, ch, h, w, kh, kw, stride, pad, oh, ow, want_img);
+  if (!same_bits(img, want_img)) {
+    ADD_FAILURE() << "col2im differs from the reference at " << where;
+    return false;
+  }
+  return true;
+}
+
+TEST(TensorOps, LoweringBitIdenticalToReferenceLoops) {
+  Rng rng(6);
+  struct Image {
+    std::size_t batch, ch, h, w;
+  };
+  // Non-square images both ways round; batch 33 splits unevenly across
+  // the pool, 17 channels exercise a non-power-of-two patch.
+  const Image images[] = {{1, 1, 7, 5}, {1, 17, 5, 9}, {33, 1, 9, 6},
+                          {33, 17, 6, 7}};
+  std::size_t checked = 0;
+  for (const Image& im : images) {
+    for (std::size_t kh = 1; kh <= 5; ++kh) {
+      for (std::size_t kw = 1; kw <= 5; ++kw) {
+        for (std::size_t stride = 1; stride <= 3; ++stride) {
+          for (std::size_t pad = 0; pad <= 2; ++pad) {
+            if (im.h + 2 * pad < kh || im.w + 2 * pad < kw) continue;
+            ASSERT_TRUE(lowering_matches_reference(im.batch, im.ch, im.h,
+                                                   im.w, kh, kw, stride, pad,
+                                                   rng));
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u * 5 * 5 * 3 * 3);
+}
+
+TEST(TensorOps, LoweringBitIdenticalWhenWindowOutgrowsImage) {
+  // Windows wider and taller than the image itself: no window is ever
+  // interior, and some rows see only padding.
+  Rng rng(7);
+  for (std::size_t batch : {std::size_t{1}, std::size_t{33}}) {
+    for (std::size_t ch : {std::size_t{1}, std::size_t{17}}) {
+      EXPECT_TRUE(lowering_matches_reference(batch, ch, 3, 2, 5, 5, 1, 2,
+                                             rng));
+      EXPECT_TRUE(lowering_matches_reference(batch, ch, 3, 2, 5, 4, 2, 2,
+                                             rng));
+      EXPECT_TRUE(lowering_matches_reference(batch, ch, 1, 1, 3, 5, 1, 2,
+                                             rng));
+      EXPECT_TRUE(lowering_matches_reference(batch, ch, 2, 3, 1, 1, 3, 2,
+                                             rng));
+    }
+  }
+}
+
+TEST(TensorOps, LoweringBitIdenticalAtGanGeometries) {
+  // The conv shapes of gan/arch.cpp at a small batch: D's k3 s2 p1
+  // convs (28 -> 14 -> 7 -> 4) and G's k4 s2 p1 / k3 s1 p1 transposed
+  // convs, whose forward col2im / backward im2col run the underlying
+  // conv's geometry on the ConvT output image.
+  Rng rng(8);
+  EXPECT_TRUE(lowering_matches_reference(3, 1, 28, 28, 3, 3, 2, 1, rng));
+  EXPECT_TRUE(lowering_matches_reference(3, 16, 14, 14, 3, 3, 2, 1, rng));
+  EXPECT_TRUE(lowering_matches_reference(3, 32, 7, 7, 3, 3, 2, 1, rng));
+  EXPECT_TRUE(lowering_matches_reference(3, 32, 28, 28, 4, 4, 2, 1, rng));
+  EXPECT_TRUE(lowering_matches_reference(3, 32, 16, 16, 4, 4, 2, 1, rng));
+  EXPECT_TRUE(lowering_matches_reference(3, 3, 32, 32, 3, 3, 1, 1, rng));
 }
 
 TEST(TensorOps, TransposeRoundTrip) {
