@@ -1,6 +1,6 @@
 // Micro benchmarks of the kernels the experiments stand on: matmul, the
 // im2col-based conv, the conv lowering at the CNN generator's geometry,
-// ReLU backward, the MLP generator/discriminator forward+backward,
+// ReLU and LeakyReLU, the MLP generator/discriminator forward+backward,
 // the per-iteration worker feedback, swap serialization, feedback
 // compression, the per-message wire path of both transports (SimNetwork
 // mailbox, TCP framing, and a real loopback socket round trip), and the
@@ -232,6 +232,28 @@ void bench_relu(Harness& h) {
   h.run("BM_ReLUBackward", 0, [&] {
     relu.forward_ws(x, true);
     const Tensor& dx = relu.backward_ws(grad);
+    volatile float sink = dx[0];
+    (void)sink;
+  });
+}
+
+void bench_leaky_relu(Harness& h) {
+  // LeakyReLU(0.2), the discriminators' activation, over the same
+  // 802,816 random-signed elements as the ReLU benches; the backward
+  // again re-runs the forward each iteration.
+  Rng rng(16);
+  const std::size_t n = 32 * 32 * 28 * 28;
+  Tensor x = Tensor::randn({n}, rng);
+  Tensor grad = Tensor::randn({n}, rng);
+  nn::LeakyReLU lrelu(0.2f);
+  h.run("BM_LeakyReLUForward", 0, [&] {
+    const Tensor& y = lrelu.forward_ws(x, true);
+    volatile float sink = y[0];
+    (void)sink;
+  });
+  h.run("BM_LeakyReLUBackward", 0, [&] {
+    lrelu.forward_ws(x, true);
+    const Tensor& dx = lrelu.backward_ws(grad);
     volatile float sink = dx[0];
     (void)sink;
   });
@@ -535,6 +557,7 @@ int main(int argc, char** argv) {
   bench_im2col(h);
   bench_conv_lowering(h);
   bench_relu(h);
+  bench_leaky_relu(h);
   bench_mlp_generator_forward(h);
   bench_worker_feedback(h);
   bench_disc_learning_step(h);

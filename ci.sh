@@ -440,8 +440,10 @@ echo "--- drill: transient partition inside the grace window (SIGSTOP)"
 # suspect threshold but resumed well inside the grace window: the
 # server must SUSPECT it (logged + counted) yet never declare it dead —
 # no !death fan-out to the survivor, no epoch churn, no rejoin cycle —
-# and the run must finish every round with finite weights.
-PART_FLAGS="--workers=2 --iters=12 --k=2 --swap=0 --recv-timeout=20 \
+# and the run must finish every round with finite weights. The run is
+# sized to outlast the 0.8 s lead-in before the stop by a wide margin
+# (40 rounds at a 40 ms step delay), so the stop lands mid-run.
+PART_FLAGS="--workers=2 --iters=40 --k=2 --swap=0 --recv-timeout=20 \
   --heartbeat-ms=100 --suspect-ms=400 --grace-ms=6000 --log-level=info"
 ./mdgan_node --role=server --port=0 $PART_FLAGS \
   --metrics-out=part_metrics.jsonl > part_server.log 2>&1 &

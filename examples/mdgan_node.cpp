@@ -83,12 +83,15 @@
 // worker silent past suspect but back within grace is re-seated, no
 // death fan-out); --recv-retries / --recv-timeout-ms bound the
 // churn-retry budget of every blocking protocol receive.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
@@ -327,13 +330,18 @@ int run_worker(const NodeConfig& nc, const std::string& connect, int id,
 }
 
 // Rejoin-to-training: re-dial the cluster from a worker id that died
-// mid-run. If the server grants the rejoin (instead of rejecting the id
-// as a duplicate hello), wait for its `!state` transfer, adopt the
-// snapshot (generator θ, holder map, swap stream, admission round) and
-// RE-ENTER training at the admission round — the restarted process
-// contributes feedback to every remaining round. Exit 0 iff granted
-// under a bumped epoch; the "trained" line appears iff the state
-// arrived and the resumed run finished.
+// mid-run. If the server grants the rejoin, wait for its `!state`
+// transfer, adopt the snapshot (generator θ, holder map, swap stream,
+// admission round) and RE-ENTER training at the admission round — the
+// restarted process contributes feedback to every remaining round.
+// Exit 0 iff granted under a bumped epoch; the "trained" line appears
+// iff the state arrived and the resumed run finished.
+//
+// A restart can dial before the server has read the dead process's
+// EOF. The server then still holds the id as live, rejects the hello
+// as a duplicate and closes the connection, which shows up here as a
+// hello that was never acked. That is retried with bounded backoff
+// until the server has seen the death.
 int run_rejoin_probe(const NodeConfig& nc, const std::string& connect,
                      int id, const dist::TcpOptions& opts) {
   const auto colon = connect.rfind(':');
@@ -344,8 +352,23 @@ int run_rejoin_probe(const NodeConfig& nc, const std::string& connect,
   const std::string host = connect.substr(0, colon);
   const auto port =
       static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-  auto net = dist::TcpNetwork::connect(host, port, id, nc.workers, opts);
-  const bool ready = net->wait_ready();
+  constexpr int kRejectedHelloRedials = 8;
+  std::unique_ptr<dist::TcpNetwork> net;
+  bool ready = false;
+  double backoff_ms = 100.0;
+  for (int redial = 0;; ++redial) {
+    net = dist::TcpNetwork::connect(host, port, id, nc.workers, opts);
+    ready = net->wait_ready();
+    if (ready || redial == kRejectedHelloRedials) break;
+    std::printf("rejoin: worker %d hello not acked (id still live on the "
+                "server?), re-dialing in %.0f ms\n",
+                id, backoff_ms);
+    std::fflush(stdout);
+    net.reset();
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(backoff_ms));
+    backoff_ms = std::min(2.0 * backoff_ms, 1000.0);
+  }
   const bool granted = net->rejoin_granted();
   const auto epoch = net->membership_epoch();
   std::printf("rejoin: worker %d ready=%s granted=%s epoch=%llu\n", id,

@@ -75,12 +75,19 @@ Tensor LeakyReLU::backward(const Tensor& grad_out) {
 const Tensor& LeakyReLU::forward_ws(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
-  const float a = alpha_;
+  // alpha is copied into a local inside the chunk (read through the
+  // capture, it could alias the output and is reloaded per element) and
+  // both select operands are computed unconditionally, so the select
+  // compiles to a vector blend instead of a sign branch. The blend also
+  // needs -fno-trapping-math on this file (CMakeLists.txt).
   const float* __restrict p = x.data();
   float* __restrict py = y.data();
   parallel_for(x.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
+    const float a = alpha_;
     for (std::size_t i = e0; i < e1; ++i) {
-      py[i] = p[i] > 0.f ? p[i] : a * p[i];
+      const float xi = p[i];
+      const float ax = a * xi;
+      py[i] = xi > 0.f ? xi : ax;
     }
   });
   cached_output_ = &y;
@@ -90,15 +97,20 @@ const Tensor& LeakyReLU::forward_ws(const Tensor& x, bool /*train*/) {
 const Tensor& LeakyReLU::backward_ws(const Tensor& grad_out) {
   check_backward_shape(cached_output_, grad_out, "LeakyReLU");
   // alpha >= 0 keeps sign(y) == sign(x), so the output is its own mask
-  // (x <= 0 gives y = alpha*x <= 0 either way).
+  // (x <= 0 gives y = alpha*x <= 0 either way). Branch-free like the
+  // forward; alpha * g is formed everywhere but only selected where
+  // y <= 0, so a zero alpha still gives 0 * inf = NaN there, as a
+  // branch would.
   Tensor& g = ws_.acquire(grad_out.shape());
-  const float a = alpha_;
   const float* __restrict py = cached_output_->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
   parallel_for(g.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
+    const float a = alpha_;
     for (std::size_t i = e0; i < e1; ++i) {
-      pd[i] = py[i] > 0.f ? pg[i] : a * pg[i];
+      const float gi = pg[i];
+      const float ag = a * gi;
+      pd[i] = py[i] > 0.f ? gi : ag;
     }
   });
   return g;

@@ -32,6 +32,9 @@ class Adam : public Optimizer {
 
   const AdamConfig& config() const { return config_; }
   std::int64_t step_count() const { return t_; }
+  // Moment estimates, one per bound tensor in binding order.
+  const std::vector<Tensor>& first_moments() const { return m_; }
+  const std::vector<Tensor>& second_moments() const { return v_; }
 
  private:
   AdamConfig config_;

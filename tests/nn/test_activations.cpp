@@ -111,6 +111,57 @@ TEST(Activations, ReLUBackwardBitExactSelect) {
   EXPECT_GT(zeroed_nonfinite, n / 5);
 }
 
+TEST(Activations, LeakyReLUBitExactSelect) {
+  // Pins forward and backward as selects between the value and alpha
+  // times it, bit for bit against a scalar reference: signed zeros keep
+  // their sign, NaN and inf pass through where the mask picks the
+  // identity arm, and with alpha == 0 an inf gradient where y <= 0
+  // still gives 0 * inf = NaN. Sized past the parallel grain with an
+  // odd tail so chunk boundaries and vector remainders run.
+  const std::size_t n = 70001;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.f, -0.f, nan, -nan, inf, -inf};
+  for (const float alpha : {0.f, 0.2f}) {
+    Rng rng(36);
+    Tensor x = Tensor::randn({n}, rng);
+    Tensor grad = Tensor::randn({n}, rng);
+    // Every 7th element pairs a special input with a special gradient,
+    // cycling through all 36 pairs; 3 further on, a special gradient
+    // meets a random-signed input.
+    for (std::size_t k = 0; 7 * k + 3 < n; ++k) {
+      x[7 * k] = specials[k % 6];
+      grad[7 * k] = specials[(k / 6) % 6];
+      grad[7 * k + 3] = specials[k % 6];
+    }
+
+    LeakyReLU lrelu(alpha);
+    const Tensor& y = lrelu.forward_ws(x, true);
+    ASSERT_EQ(y.numel(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want = x[i] > 0.f ? x[i] : alpha * x[i];
+      ASSERT_EQ(std::memcmp(y.data() + i, &want, sizeof(float)), 0)
+          << "alpha=" << alpha << " i=" << i << " x=" << x[i]
+          << " y=" << y[i];
+    }
+    const std::vector<float> y_copy(y.data(), y.data() + n);
+    const Tensor& dx = lrelu.backward_ws(grad);
+    ASSERT_EQ(dx.numel(), n);
+    std::size_t zero_alpha_nans = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want = y_copy[i] > 0.f ? grad[i] : alpha * grad[i];
+      ASSERT_EQ(std::memcmp(dx.data() + i, &want, sizeof(float)), 0)
+          << "alpha=" << alpha << " i=" << i << " y=" << y_copy[i]
+          << " grad=" << grad[i] << " dx=" << dx[i];
+      if (alpha == 0.f && !(y_copy[i] > 0.f) && std::isinf(grad[i])) {
+        EXPECT_TRUE(std::isnan(dx[i])) << "i=" << i;
+        ++zero_alpha_nans;
+      }
+    }
+    if (alpha == 0.f) EXPECT_GT(zero_alpha_nans, 0u);
+  }
+}
+
 TEST(Activations, BackwardShapeMismatchThrows) {
   ReLU relu;
   Tensor x({2, 2});
