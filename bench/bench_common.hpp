@@ -143,7 +143,7 @@ struct RunContext {
   std::int64_t iters;
   std::int64_t eval_every;
   std::uint64_t seed;
-  // Link model applied to the run's Network (zero model by default, so
+  // Link model applied to the run's SimNetwork (zero model by default, so
   // benches that don't care about time are unchanged).
   dist::LinkModel link{};
 };
@@ -172,7 +172,7 @@ inline Series run_fl_gan(const RunContext& ctx, gan::GanHyperParams hp,
   Series out{label, {}, {}, {}, 0.0};
   Rng split_rng(ctx.seed);
   auto shards = data::split_iid(ctx.train, workers, split_rng);
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   net.set_link_model(ctx.link);
   gan::FlGanConfig cfg;
   cfg.hp = hp;
@@ -197,8 +197,8 @@ inline Series run_fl_gan(const RunContext& ctx, gan::GanHyperParams hp,
 struct MdGanRunOptions {
   std::size_t k = 1;
   bool swap_enabled = true;
-  // Membership schedule: leave/rejoin intervals, or a plain
-  // CrashSchedule for fail-stop-only runs (Figure 5).
+  // Membership schedule: leave/rejoin intervals, or leaves only for
+  // fail-stop runs (Figure 5).
   const dist::AvailabilitySchedule* availability = nullptr;
   dist::CompressionConfig feedback_compression{};
   // §VII-1 async server: one Adam step per feedback, on arrival.
@@ -216,7 +216,7 @@ inline Series run_md_gan(const RunContext& ctx, gan::GanHyperParams hp,
   // registry, exercising the same counters ci.sh validates. Declared
   // before the network so it outlives the transport that charges it.
   obs::Sink sink;
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   net.set_link_model(ctx.link);
   core::MdGanConfig cfg;
   cfg.hp = hp;

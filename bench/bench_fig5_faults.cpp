@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   print_series(all.back());
 
   // Same setup with the paper's crash schedule.
-  auto crashes = dist::CrashSchedule::evenly_spaced(iters, workers);
+  auto crashes =
+      dist::AvailabilitySchedule::evenly_spaced_crashes(iters, workers);
   all.push_back(run_md_gan(ctx, hp10, workers,
                            {.k = k, .availability = &crashes},
                            "md-gan crashes"));

@@ -10,10 +10,10 @@ cd "$(dirname "$0")"
 
 # `ci.sh --tsan`: ThreadSanitizer pass over the concurrency-heavy
 # dist/core tests (reader threads, the per-connection writer queues and
-# their backpressure, the acceptor's control pump, mark_dead vs close,
-# the pipeline prefetch thread) in its own build tree, then a
-# heartbeat-enabled loopback run — the ping/pong pump, the liveness tracker and the
-# reader threads all under the race detector at once — and exit.
+# their backpressure, the acceptor's control pump, mark_dead vs close)
+# in its own build tree, then a heartbeat-enabled loopback run — the
+# ping/pong pump, the liveness tracker and the reader threads all under
+# the race detector at once — and exit.
 if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMDGAN_TSAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
@@ -67,7 +67,9 @@ if [ "${1:-}" = "--asan" ]; then
   exit 0
 fi
 
-cmake -B build -S .
+# -Werror: the default build is warning-clean, so any new warning fails
+# CI instead of scrolling past.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j"$(nproc)"
 cd build && ctest --output-on-failure -j"$(nproc)"
 
@@ -114,39 +116,6 @@ TCP_SUM=$(grep -oE 'generator_fnv1a=[0-9a-f]+' mdgan_node_server.log)
   exit 1
 }
 echo "loopback TCP run matches the simulator: ${TCP_SUM#*=}"
-
-echo "--- smoke: mdgan_node PIPELINED loopback TCP (sync => strict no-op)"
-# Same run with --pipeline on every role. Sync mode keeps the barrier,
-# so pipelining must not move a single bit: the checksum must equal the
-# PLAIN simulator run above — while the frames ride the async writer
-# queues and the zero-copy broadcast path end to end.
-PIPE_FLAGS="--workers=2 --iters=2 --pipeline"
-./mdgan_node --role=server --port=0 $PIPE_FLAGS \
-  > mdgan_pipe_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' mdgan_pipe_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "pipelined mdgan_node server never listened"; exit 1; }
-./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" $PIPE_FLAGS &
-W1_PID=$!
-./mdgan_node --role=worker --id=2 --connect=127.0.0.1:"$PORT" $PIPE_FLAGS &
-W2_PID=$!
-for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "pipelined mdgan_node process $pid failed"; exit 1; }
-done
-cat mdgan_pipe_server.log
-PIPE_SUM=$(grep -oE 'generator_fnv1a=[0-9a-f]+' mdgan_pipe_server.log)
-[ "${SIM_SUM#*=}" = "${PIPE_SUM#*=}" ] || {
-  echo "FAIL: pipelined TCP run diverged from the simulator" \
-       "($SIM_SUM vs $PIPE_SUM)"
-  exit 1
-}
-echo "pipelined loopback TCP run matches the simulator: ${PIPE_SUM#*=}"
 
 echo "--- verify: telemetry artifacts (Chrome trace JSON + metrics JSONL)"
 python3 - <<'PY'
@@ -335,11 +304,11 @@ echo "--- drill: kill -9 a worker mid-run (unscheduled fail-stop + rejoin)"
 # control plane, and finish all iterations with finite weights; a probe
 # process then re-dials as worker 3 and must be granted a rejoin under
 # a bumped membership epoch rather than rejected as a duplicate.
-# --pipeline rides along: the drill then also proves the crash control
-# plane (fail-stop, rejoin, !state) survives the async writer queues
-# dropping a dead peer's frames.
+# The TCP sends ride the per-connection async writer queues, so the
+# drill also proves the crash control plane (fail-stop, rejoin, !state)
+# survives those queues dropping a dead peer's frames.
 KILL_FLAGS="--workers=3 --iters=30 --k=2 --swap=0 --recv-timeout=15 \
-  --pipeline --log-level=info"
+  --log-level=info"
 ./mdgan_node --role=server --port=0 $KILL_FLAGS \
   --metrics-out=kill_metrics.jsonl --flight-out=kill_flight.jsonl \
   > kill_server.log 2>&1 &

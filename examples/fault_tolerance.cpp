@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   metrics::Evaluator evaluator(train, test, {64, 3, 64, 1e-3f}, 256, seed);
 
   // One crash every iters/N iterations: by the end, nobody is left.
-  auto crashes = dist::CrashSchedule::evenly_spaced(iters, workers);
+  auto crashes =
+      dist::AvailabilitySchedule::evenly_spaced_crashes(iters, workers);
   std::printf(
       "MD-GAN with fail-stop crashes: %zu workers, one crash every %lld "
       "iterations\n\n",
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
 
   Rng split_rng(seed);
   auto shards = data::split_iid(train, workers, split_rng);
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   core::MdGanConfig cfg;
   cfg.hp.batch = batch;
   cfg.k = core::k_log_n(workers);

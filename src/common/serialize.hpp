@@ -63,9 +63,7 @@ class ByteBuffer {
 
   // Appends raw bytes verbatim (no length header). The caller owns the
   // framing; used by the frame codec and tests.
-  void append_raw(const std::uint8_t* p, std::size_t n) {
-    data_.insert(data_.end(), p, p + n);
-  }
+  void append_raw(const std::uint8_t* p, std::size_t n) { put(p, n); }
 
   template <typename T>
   void write_pod(const T& v) {
@@ -79,7 +77,7 @@ class ByteBuffer {
     if constexpr (sizeof(T) > 1 && !detail::kHostLittleEndian) {
       std::reverse(bytes, bytes + sizeof(T));
     }
-    data_.insert(data_.end(), bytes, bytes + sizeof(T));
+    put(bytes, sizeof(T));
   }
 
   template <typename T>
@@ -106,8 +104,7 @@ class ByteBuffer {
   void write_floats(const float* src, std::size_t n) {
     write_pod<std::uint64_t>(n);
     if constexpr (detail::kHostLittleEndian) {
-      const auto* p = reinterpret_cast<const std::uint8_t*>(src);
-      data_.insert(data_.end(), p, p + n * sizeof(float));
+      put(src, n * sizeof(float));
     } else {
       for (std::size_t i = 0; i < n; ++i) write_pod<float>(src[i]);
     }
@@ -130,7 +127,7 @@ class ByteBuffer {
 
   void write_string(const std::string& s) {
     write_pod<std::uint64_t>(s.size());
-    data_.insert(data_.end(), s.begin(), s.end());
+    put(s.data(), s.size());
   }
 
   std::string read_string() {
@@ -147,6 +144,16 @@ class ByteBuffer {
   std::size_t remaining() const { return data_.size() - read_pos_; }
 
  private:
+  // Appends n raw bytes. resize + memcpy rather than vector::insert,
+  // whose inlined range copy GCC 12 misreads into false
+  // -Wstringop-overflow / -Wnonnull warnings.
+  void put(const void* p, std::size_t n) {
+    if (n == 0) return;
+    const std::size_t at = data_.size();
+    data_.resize(at + n);
+    std::memcpy(data_.data() + at, p, n);
+  }
+
   std::vector<std::uint8_t> data_;
   std::size_t read_pos_ = 0;
 };

@@ -245,7 +245,7 @@ bool RoundEngine::process_membership(std::int64_t iter) {
     }
     if (permanent && alive && cfg_.role.kind == NodeRole::Kind::kInProcess) {
       // Scheduled fail-stop, in-process: the transport itself crashes
-      // the worker — the old CrashSchedule path, reproduced exactly.
+      // the worker.
       net_.crash(w);
       MDGAN_LOG_INFO << "iteration " << iter << ": worker " << w
                      << " crashed (fail-stop), "
@@ -486,14 +486,6 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
       obs::Span s(tr, "phase:local", obs::Cat::kPhase, self, i);
       live(i, "local");
       delegate_.local_work(discs);
-    }
-    if (cfg_.pipeline && cfg_.mode == ServerMode::kAsync &&
-        cfg_.role.runs_server() && i + 1 < first_iter + rounds) {
-      // Double-buffer: the delegate snapshots its model and starts
-      // generating round i+1 in the background while round i's
-      // feedbacks drain in the collect phase below.
-      obs::Span s(tr, "phase:prefetch", obs::Cat::kPhase, self, i);
-      delegate_.prefetch_round(i + 1, k_eff);
     }
     if (cfg_.role.runs_server()) {
       obs::Span s(tr, "phase:collect", obs::Cat::kPhase, self, i);

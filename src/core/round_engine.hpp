@@ -11,11 +11,10 @@
 //   kMembership  Transport::begin_iteration, then membership events:
 //                scheduled leave/rejoin transitions from the
 //                AvailabilitySchedule (a leave with no later rejoin is
-//                fail-stop and, in-process, calls Transport::crash so a
-//                pure-crash schedule reproduces the old CrashSchedule
-//                path bit-for-bit) and transport-level goodbyes (a
-//                dropped TCP connection). Each transition is handed to
-//                the delegate (on_join / on_leave).
+//                fail-stop and, in-process, calls Transport::crash)
+//                and transport-level goodbyes (a dropped TCP
+//                connection). Each transition is handed to the
+//                delegate (on_join / on_leave / on_readmit).
 //   kBroadcast   server roles hand the round's participants to the
 //                delegate, which generates and sends the batches.
 //   kLocal       worker-side work: every participating discriminator
@@ -108,11 +107,8 @@ class RoundDelegate {
   // scheduled crash-rejoin) is re-admitted at `iter`. The delegate
   // rebirths the worker's discriminator deterministically from
   // (worker, iter) — shared knowledge, so every role derives the same
-  // parameters. Default forwards to on_join for delegates that predate
-  // state transfer.
-  virtual void on_readmit(int worker, std::int64_t iter) {
-    on_join(worker, iter);
-  }
+  // parameters.
+  virtual void on_readmit(int worker, std::int64_t iter) = 0;
   // Server roles only: the opaque `!state` payload shipped to a
   // re-admitted worker (see core/rejoin.hpp). Called after on_readmit,
   // so the serialized holder map already reflects the re-admission.
@@ -135,19 +131,6 @@ class RoundDelegate {
   // kLocal: run the worker-side iteration for every participant this
   // process embodies.
   virtual void local_work(const std::vector<std::size_t>& discs) = 0;
-
-  // Pipelining hook (RoundEngineConfig::pipeline, async server roles):
-  // called between the local and collect phases so the delegate can
-  // snapshot its model and start generating/serializing round
-  // `next_iter`'s batches while this round's feedbacks drain.
-  // `k_eff_hint` is this round's k_eff; membership can change at the
-  // next boundary, so a delegate must treat the hint as advisory and
-  // discard a mismatched prefetch. Default: no pipelining.
-  virtual void prefetch_round(std::int64_t next_iter,
-                              std::size_t k_eff_hint) {
-    (void)next_iter;
-    (void)k_eff_hint;
-  }
 
   // kCollect: the worker expected to send each participant's feedback,
   // aligned with `discs` (entry j is the holder of discs[j]). The
@@ -188,14 +171,6 @@ struct RoundEngineConfig {
   // staleness exceeds this many applied steps. SIZE_MAX disables the
   // guard — every feedback is applied, the pre-engine §VII-1 behavior.
   std::size_t max_staleness = static_cast<std::size_t>(-1);
-  // Pipelined rounds: fire RoundDelegate::prefetch_round between the
-  // local and collect phases (async server roles only), overlapping the
-  // next round's generation with this round's feedback drain. Sync mode
-  // ignores the flag here — its barrier fold re-forwards this round's
-  // latents against unchanged parameters, so generation must not move
-  // ahead of the fold; a sync run with pipeline on is bit-identical to
-  // one without (the transport's async writers still overlap its sends).
-  bool pipeline = false;
   // Tag of the worker->server feedback messages the collect loop pops.
   std::string feedback_tag = "feedback";
   // How long a SCHEDULED crash-rejoin waits at the admission round for

@@ -131,28 +131,20 @@ bool AvailabilitySchedule::fail_stop_only() const {
   return true;
 }
 
-std::vector<int> CrashSchedule::crashes_at(std::int64_t iter) const {
-  std::vector<int> out;
-  for (const Event& e : events_at(iter)) {
-    if (!e.join) out.push_back(e.worker);
-  }
-  return out;
-}
-
-CrashSchedule CrashSchedule::evenly_spaced(std::int64_t total_iters,
-                                           std::size_t n_workers) {
+AvailabilitySchedule AvailabilitySchedule::evenly_spaced_crashes(
+    std::int64_t total_iters, std::size_t n_workers) {
   if (total_iters < 1) {
-    throw std::invalid_argument("CrashSchedule: total_iters < 1");
+    throw std::invalid_argument("AvailabilitySchedule: total_iters < 1");
   }
   if (n_workers == 0) {
-    throw std::invalid_argument("CrashSchedule: n_workers == 0");
+    throw std::invalid_argument("AvailabilitySchedule: n_workers == 0");
   }
   const std::int64_t period =
       std::max<std::int64_t>(1, total_iters / static_cast<std::int64_t>(
                                                   n_workers));
-  CrashSchedule s;
+  AvailabilitySchedule s;
   for (std::size_t w = 1; w <= n_workers; ++w) {
-    s.add(period * static_cast<std::int64_t>(w), static_cast<int>(w));
+    s.add_leave(period * static_cast<std::int64_t>(w), static_cast<int>(w));
   }
   return s;
 }

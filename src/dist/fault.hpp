@@ -3,8 +3,7 @@
 // leave at one iteration boundary and rejoin at a later one (the
 // temporary/elastic discriminators of Qu et al., 2020), or leave and
 // never return — which is exactly a fail-stop crash (paper §V,
-// Figure 5). CrashSchedule below is that special case, kept as a
-// subclass so crash-only call sites read as before.
+// Figure 5; evenly_spaced_crashes builds that schedule).
 //
 // The schedule is *deterministic shared knowledge*: every node of a
 // role-split run constructs the identical schedule from its flags and
@@ -38,9 +37,6 @@ class AvailabilitySchedule {
     int worker = 0;
     bool join = false;  // false: the worker leaves at this iteration
   };
-
-  AvailabilitySchedule() = default;
-  virtual ~AvailabilitySchedule() = default;
 
   // Worker `worker` (1-based) is absent from the start of iteration
   // `iter` on (until a later rejoin, if any).
@@ -90,8 +86,18 @@ class AvailabilitySchedule {
   // Number of scheduled transitions.
   std::size_t size() const;
   // True when no worker ever rejoins — the schedule is pure fail-stop
-  // and equivalent to a CrashSchedule.
+  // (the paper's model, which has no recovery).
   bool fail_stop_only() const;
+
+  // The Figure 5 fail-stop schedule: one crash every
+  // total_iters / n_workers iterations (period clamped to >= 1),
+  // workers dying in id order at iterations period, 2*period, ... When
+  // n_workers divides total_iters the last crash lands exactly on the
+  // final iteration; otherwise the tail crashes are scheduled past
+  // iteration total_iters and a run of exactly that length leaves
+  // those workers alive.
+  static AvailabilitySchedule evenly_spaced_crashes(std::int64_t total_iters,
+                                                    std::size_t n_workers);
 
  private:
   // Per worker: iteration -> present from that iteration on. Absent
@@ -102,31 +108,6 @@ class AvailabilitySchedule {
   // these are ordinary absences (mirrored in transitions_); this map
   // marks which boundaries lose / re-transfer state.
   std::map<int, std::map<std::int64_t, std::int64_t>> crash_rejoins_;
-};
-
-// Fail-stop fault injection (paper §V, Figure 5): every departure is
-// permanent — the paper's model has no recovery. Kept as the crash-only
-// view of an AvailabilitySchedule so existing call sites (and the
-// Figure 5 bench) read unchanged.
-class CrashSchedule : public AvailabilitySchedule {
- public:
-  CrashSchedule() = default;
-
-  // Worker `worker` (1-based) dies at the start of iteration `iter`.
-  void add(std::int64_t iter, int worker) { add_leave(iter, worker); }
-
-  // Workers scheduled to die at `iter` (empty if none).
-  std::vector<int> crashes_at(std::int64_t iter) const;
-
-  // The Figure 5 schedule: one crash every total_iters / n_workers
-  // iterations (period clamped to >= 1), workers dying in id order at
-  // iterations period, 2*period, ... When n_workers divides
-  // total_iters the last crash lands exactly on the final iteration;
-  // otherwise the tail crashes are scheduled past iteration
-  // total_iters and a run of exactly that length leaves those workers
-  // alive.
-  static CrashSchedule evenly_spaced(std::int64_t total_iters,
-                                     std::size_t n_workers);
 };
 
 }  // namespace mdgan::dist

@@ -171,12 +171,4 @@ class SimNetwork final : public Transport {
   std::uint64_t suspect_count_ = 0;
 };
 
-// DEPRECATED: the historical name of the in-process backend, kept so
-// the many tests/benches that construct the concrete simulator read
-// naturally. Prefer SimNetwork (explicit about being the test double)
-// or the abstract Transport seam in new code; the alias — and the
-// dist/network.hpp shim that forwards here — will be removed once
-// nothing spells the old name.
-using Network = SimNetwork;
-
 }  // namespace mdgan::dist

@@ -62,30 +62,19 @@ bool write_iovecs(int fd, iovec* iov, std::size_t n) {
   return true;
 }
 
-// Puts one staged frame (head + payload segments) on the wire. The
-// gathered path hands every segment to sendmsg as its own iovec — the
-// payload bytes go from the shared buffers straight onto the socket;
-// the legacy path concatenates first. Both produce the identical byte
-// stream.
+// Puts one staged frame (head + payload segments) on the wire: every
+// segment goes to sendmsg as its own iovec, so the payload bytes go
+// from the shared buffers straight onto the socket, never copied into
+// a contiguous wire buffer.
 bool write_out(int fd, const std::vector<std::uint8_t>& head,
-               const SharedBuf& body, bool scatter_gather) {
-  if (scatter_gather) {
-    std::vector<iovec> iov;
-    iov.reserve(1 + body.segments().size());
-    iov.push_back({const_cast<std::uint8_t*>(head.data()), head.size()});
-    for (const auto& seg : body.segments()) {
-      iov.push_back(
-          {const_cast<std::uint8_t*>(seg->data()), seg->size()});
-    }
-    return write_iovecs(fd, iov.data(), iov.size());
-  }
-  std::vector<std::uint8_t> wire;
-  wire.reserve(head.size() + body.size());
-  wire.insert(wire.end(), head.begin(), head.end());
+               const SharedBuf& body) {
+  std::vector<iovec> iov;
+  iov.reserve(1 + body.segments().size());
+  iov.push_back({const_cast<std::uint8_t*>(head.data()), head.size()});
   for (const auto& seg : body.segments()) {
-    wire.insert(wire.end(), seg->data(), seg->data() + seg->size());
+    iov.push_back({const_cast<std::uint8_t*>(seg->data()), seg->size()});
   }
-  return write_exact(fd, wire.data(), wire.size());
+  return write_iovecs(fd, iov.data(), iov.size());
 }
 
 void set_nodelay(int fd) {
@@ -935,8 +924,7 @@ void TcpNetwork::writer_loop(int peer, Conn* conn) {
     const int fd = conn->fd;
     conn->write_cv.notify_all();  // a producer may be waiting for space
     lock.unlock();
-    const bool ok = fd >= 0 && write_out(fd, f.head, f.body,
-                                         opts_.scatter_gather);
+    const bool ok = fd >= 0 && write_out(fd, f.head, f.body);
     lock.lock();
     conn->inflight = false;
     if (!ok) {

@@ -103,15 +103,10 @@ struct TcpOptions {
   double heartbeat_interval_s = 0.0;
   double suspect_after_s = 2.0;
   double grace_s = 8.0;
-  // Scatter-gather sends: frame head and payload go out as iovecs
-  // of one sendmsg(2) — one iovec per SharedBuf segment — so the
-  // payload (the bulk of a swap frame, which the relay pays twice) is
-  // never copied into a contiguous wire buffer. Off = the legacy
-  // encode-then-write path; the wire bytes are identical either way
-  // (BM_TcpLoopbackSendRecv benches the delta).
-  bool scatter_gather = true;
   // Bound of the per-connection async send queue (frames). Every write
-  // is enqueued and drained by the connection's writer thread; a full
+  // is enqueued and drained by the connection's writer thread, which
+  // puts the frame head and each payload segment on the wire as the
+  // iovecs of one sendmsg(2), never copying the payload; a full
   // queue blocks the producer (backpressure, observed by the
   // send_queue_stall_seconds histogram) until the writer frees a slot
   // or the peer dies — a dead peer's queue is dropped wholesale so the

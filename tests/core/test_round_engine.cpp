@@ -51,6 +51,10 @@ struct ScriptedDelegate : RoundDelegate {
   void on_join(int worker, std::int64_t) override {
     joins.push_back(worker);
   }
+  // No state to rebirth: a re-admission is recorded as a plain join.
+  void on_readmit(int worker, std::int64_t iter) override {
+    on_join(worker, iter);
+  }
   std::vector<std::size_t> participants(
       const std::vector<int>& present) override {
     std::vector<std::size_t> out;
@@ -153,7 +157,7 @@ TEST(RoundEngine, PermanentLeaveCrashesInProcess) {
   RoundEngine engine(net, cfg, d, &sched);
   EXPECT_EQ(engine.run(1, 3), 3);
   EXPECT_EQ(d.leaves, (std::vector<std::pair<int, bool>>{{1, true}}));
-  EXPECT_FALSE(net.is_alive(1));  // the old CrashSchedule path
+  EXPECT_FALSE(net.is_alive(1));  // a fail-stop crashes the worker
   EXPECT_EQ(engine.present_workers(), (std::vector<int>{2}));
 }
 

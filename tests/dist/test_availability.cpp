@@ -1,6 +1,6 @@
 // AvailabilitySchedule semantics (join/leave/rejoin intervals,
 // fail-stop as the no-rejoin special case) and their effect on MD-GAN
-// training: CrashSchedule equivalence, deterministic leave/rejoin runs,
+// training: fail-stop equivalence, deterministic leave/rejoin runs,
 // dormant discriminators, and the swap replay skipping absent workers.
 #include "dist/fault.hpp"
 
@@ -123,19 +123,19 @@ TEST(AvailabilitySchedule, CrashRejoinValidatesWindow) {
   EXPECT_THROW(s.add_crash_rejoin(1, 3, 0), std::invalid_argument);
 }
 
-TEST(AvailabilitySchedule, CrashScheduleIsTheFailStopSpecialCase) {
-  CrashSchedule crashes;
-  crashes.add(3, 1);
-  crashes.add(5, 2);
+TEST(AvailabilitySchedule, NoRejoinIsTheFailStopSpecialCase) {
+  AvailabilitySchedule crashes;
+  crashes.add_leave(3, 1);
+  crashes.add_leave(5, 2);
   EXPECT_TRUE(crashes.fail_stop_only());
   EXPECT_FALSE(crashes.present(1, 3));
   EXPECT_FALSE(crashes.returns_after(1, 3));
-  EXPECT_EQ(crashes.crashes_at(3), (std::vector<int>{1}));
-  // The base-class view is identical: a CrashSchedule *is* an
-  // AvailabilitySchedule whose every leave is permanent.
-  const AvailabilitySchedule& base = crashes;
-  EXPECT_EQ(base.events_at(5).size(), 1u);
-  EXPECT_FALSE(base.events_at(5)[0].join);
+  ASSERT_EQ(crashes.events_at(3).size(), 1u);
+  EXPECT_EQ(crashes.events_at(3)[0].worker, 1);
+  EXPECT_FALSE(crashes.events_at(3)[0].join);
+  ASSERT_EQ(crashes.events_at(5).size(), 1u);
+  EXPECT_EQ(crashes.events_at(5)[0].worker, 2);
+  EXPECT_FALSE(crashes.events_at(5)[0].join);
 }
 
 // --- MD-GAN under availability schedules --------------------------------
@@ -157,9 +157,9 @@ std::vector<data::InMemoryDataset> shards_for(std::size_t n_workers,
   return data::split_iid(full, n_workers, rng);
 }
 
-TEST(MdGanAvailability, FailStopScheduleMatchesCrashScheduleBitForBit) {
+TEST(MdGanAvailability, FailStopScheduleMatchesEvenlySpacedCrashesBitForBit) {
   auto run = [](const AvailabilitySchedule& sched) {
-    dist::Network net(3);
+    dist::SimNetwork net(3);
     core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
                    shards_for(3, 16, 8), 29, net, &sched);
     md.train(4);
@@ -169,17 +169,18 @@ TEST(MdGanAvailability, FailStopScheduleMatchesCrashScheduleBitForBit) {
                            net.totals(LinkKind::kWorkerToWorker).bytes,
                            net.alive_worker_count());
   };
-  CrashSchedule crashes;
-  crashes.add(2, 1);
+  // Period 9 / 3 = 3: worker 1 dies at round 3; the crashes of workers
+  // 2 and 3 (rounds 6 and 9) lie past the 4-round run.
+  const auto crashes = AvailabilitySchedule::evenly_spaced_crashes(9, 3);
   AvailabilitySchedule leaves;
-  leaves.add_leave(2, 1);  // no rejoin: the same fail-stop
+  leaves.add_leave(3, 1);  // no rejoin: the same fail-stop
   EXPECT_EQ(run(crashes), run(leaves));
   EXPECT_EQ(std::get<4>(run(crashes)), 2u);
 }
 
 TEST(MdGanAvailability, LeaveRejoinIsDeterministicAndFinite) {
   auto run = [] {
-    dist::Network net(3);
+    dist::SimNetwork net(3);
     AvailabilitySchedule sched;
     sched.add_absence(2, 2, 4);  // away for rounds 2 and 3
     core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
@@ -196,7 +197,7 @@ TEST(MdGanAvailability, LeaveRejoinIsDeterministicAndFinite) {
 }
 
 TEST(MdGanAvailability, AbsentWorkerShipsNothingWhileAway) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   AvailabilitySchedule sched;
   sched.add_absence(2, 2, 3);  // away for round 2 only
   core::MdGanConfig cfg = tiny_cfg();
@@ -212,7 +213,7 @@ TEST(MdGanAvailability, AbsentWorkerShipsNothingWhileAway) {
 }
 
 TEST(MdGanAvailability, SwapSkipsAbsentWorkerInOneRun) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   AvailabilitySchedule sched;
   sched.add_absence(3, 2, 3);  // away exactly for round 2
   core::MdGanConfig cfg = tiny_cfg();
@@ -235,7 +236,7 @@ TEST(MdGanAvailability, SwapSkipsAbsentWorkerInOneRun) {
 }
 
 TEST(MdGanAvailability, AllAwayRoundsIdleThenResume) {
-  dist::Network net(1);
+  dist::SimNetwork net(1);
   AvailabilitySchedule sched;
   sched.add_absence(1, 2, 4);  // the only worker is away for 2 rounds
   core::MdGanConfig cfg = tiny_cfg();
