@@ -47,16 +47,17 @@ if [ "${1:-}" = "--tsan" ]; then
   exit 0
 fi
 
-# `ci.sh --asan`: AddressSanitizer pass over the dist/core/obs tests and
+# `ci.sh --asan`: AddressSanitizer pass over the dist/core/obs tests,
 # the tensor/nn kernel tests (the conv lowering's interior and border
-# pointer paths among them) in its own build tree, then a traced sim run
+# pointer paths among them) and the gan trainer tests (which hold
+# references into layer scratch) in its own build tree, then a traced sim run
 # fed through the trace-merge tool — the JSON parser and merger chew on
 # real generated input under the allocator checks — and exit.
 if [ "${1:-}" = "--asan" ]; then
   cmake -B build-asan -S . -DMDGAN_ASAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
   cmake --build build-asan -j"$(nproc)"
-  cd build-asan && ctest --output-on-failure -R '^(dist|core|obs|tensor|nn)_'
+  cd build-asan && ctest --output-on-failure -R '^(dist|core|obs|tensor|nn|gan)_'
   echo "--- asan smoke: traced sim run through the trace merger"
   ./mdgan_node --role=sim --workers=2 --iters=2 \
     --trace-out=asan_trace.json --metrics-out=asan_metrics.jsonl \
@@ -66,6 +67,34 @@ if [ "${1:-}" = "--asan" ]; then
   echo "asan pass clean"
   exit 0
 fi
+
+# wait_for_round METRICS_JSONL ROUNDS TIMEOUT_S LABEL: blocks until the
+# last line of a node's metrics JSONL (one snapshot per round) reports
+# counters.rounds_total >= ROUNDS, so a drill strikes at a known round
+# instead of after a guessed sleep. Fails the run on timeout.
+wait_for_round() {
+  python3 - "$@" <<'PY'
+import json, sys, time
+
+path, want, timeout_s, label = sys.argv[1], int(sys.argv[2]), \
+    float(sys.argv[3]), sys.argv[4]
+deadline = time.monotonic() + timeout_s
+seen = 0
+while time.monotonic() < deadline:
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+        if lines:
+            seen = json.loads(lines[-1])["counters"].get("rounds_total", 0)
+    except (OSError, ValueError, KeyError):
+        pass  # not created yet, or a line caught mid-write
+    if seen >= want:
+        sys.exit(0)
+    time.sleep(0.02)
+sys.exit(f"FAIL: {label}: server never reached round {want} within "
+         f"{timeout_s:g} s (last rounds_total={seen} in {path})")
+PY
+}
 
 # -Werror: the default build is warning-clean, so any new warning fails
 # CI instead of scrolling past.
@@ -337,7 +366,8 @@ for _ in $(seq 1 200); do
 done
 grep -q 'all 3 workers connected' kill_server.log || {
   echo "kill-drill rendezvous never completed"; exit 1; }
-sleep 1.2  # a few rounds in: the kill lands mid-round
+# A few rounds in: the kill lands mid-round.
+wait_for_round kill_metrics.jsonl 3 60 "kill-drill"
 kill -9 "$W3_PID"
 echo "killed worker 3 (pid $W3_PID)"
 # While the survivors keep training, a fresh process re-dials as the
@@ -409,9 +439,9 @@ echo "--- drill: transient partition inside the grace window (SIGSTOP)"
 # suspect threshold but resumed well inside the grace window: the
 # server must SUSPECT it (logged + counted) yet never declare it dead —
 # no !death fan-out to the survivor, no epoch churn, no rejoin cycle —
-# and the run must finish every round with finite weights. The run is
-# sized to outlast the 0.8 s lead-in before the stop by a wide margin
-# (40 rounds at a 40 ms step delay), so the stop lands mid-run.
+# and the run must finish every round with finite weights. The stop
+# lands once the server has completed round 2 of 40 (40 ms step delay),
+# so it is mid-run however fast training is.
 PART_FLAGS="--workers=2 --iters=40 --k=2 --swap=0 --recv-timeout=20 \
   --heartbeat-ms=100 --suspect-ms=400 --grace-ms=6000 --log-level=info"
 ./mdgan_node --role=server --port=0 $PART_FLAGS \
@@ -437,7 +467,8 @@ for _ in $(seq 1 200); do
 done
 grep -q 'all 2 workers connected' part_server.log || {
   echo "partition-drill rendezvous never completed"; exit 1; }
-sleep 0.8  # a couple of rounds in
+# A couple of rounds in, so the stop lands mid-run.
+wait_for_round part_metrics.jsonl 2 60 "partition-drill"
 kill -STOP "$W2_PID"
 echo "partitioned worker 2 (SIGSTOP, pid $W2_PID)"
 sleep 1.2  # past suspect-ms=400, far inside grace-ms=6000

@@ -217,11 +217,12 @@ void MdGan::server_generate_and_send(const std::vector<std::size_t>& discs,
 
   // Generate K = {X(1..k)}. Generated in train mode: the update-step
   // re-forward reproduces the exact same activations (batch statistics
-  // depend only on the batch itself).
+  // depend only on the batch itself). Each batch is serialized out of
+  // G's scratch before the next forward overwrites it.
   for (std::size_t j = 0; j < k_eff; ++j) {
     std::vector<int> labels;
     Tensor z = gan::sample_latent(arch_, codes_, b, server_rng_, labels);
-    blobs.push_back(encode_batch_blob(g_.forward(z, /*train=*/true),
+    blobs.push_back(encode_batch_blob(g_.forward_ws(z, /*train=*/true),
                                       labels));
     latent_batches_.push_back(std::move(z));
     latent_labels_.push_back(std::move(labels));
@@ -434,9 +435,9 @@ void MdGan::server_fold_sync(std::vector<dist::Message>&& feedbacks,
     // Re-forward G on the cached latent batch: G's parameters have not
     // changed since generation, so this reproduces x exactly and primes
     // the layer caches for backward.
-    g_.forward(latent_batches_[j], /*train=*/true);
+    g_.forward_ws(latent_batches_[j], /*train=*/true);
     upstream[j] *= inv_n;
-    g_.backward(upstream[j]);
+    g_.backward_ws(upstream[j]);
   }
   g_opt_->step();
   ++gen_updates_;
@@ -468,8 +469,8 @@ void MdGan::server_apply_async(dist::Message&& feedback,
   }
   Tensor fb({b, d}, dist::decompress(feedback.payload));
   g_opt_->zero_grad();
-  g_.forward(latent_batches_[j], /*train=*/true);
-  g_.backward(fb);
+  g_.forward_ws(latent_batches_[j], /*train=*/true);
+  g_.backward_ws(fb);
   // Staleness-aware step: damping shrinks the learning rate of updates
   // computed against an old generator. Damping 0 is a plain step.
   const float scale =

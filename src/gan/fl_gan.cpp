@@ -61,7 +61,7 @@ void FlGan::local_iteration(Worker& w) {
   Tensor x_real = w.shard.sample_batch(w.rng, b, &y_real);
   std::vector<int> y_fake;
   Tensor z = sample_latent(arch_, codes_, b, w.rng, y_fake);
-  Tensor x_fake = w.g.forward(z, /*train=*/true);
+  const Tensor& x_fake = w.g.forward_ws(z, /*train=*/true);
   for (std::size_t l = 0; l < cfg_.hp.disc_steps; ++l) {
     disc_learning_step(w.d, *w.d_opt, x_real, y_real, x_fake, y_fake,
                        arch_.acgan);
@@ -69,11 +69,11 @@ void FlGan::local_iteration(Worker& w) {
 
   std::vector<int> y_gen;
   Tensor z2 = sample_latent(arch_, codes_, b, w.rng, y_gen);
-  Tensor x_gen = w.g.forward(z2, /*train=*/true);
+  const Tensor& x_gen = w.g.forward_ws(z2, /*train=*/true);
   Tensor feedback = generator_feedback(
       w.d, x_gen, arch_.acgan ? &y_gen : nullptr, cfg_.hp.saturating);
   w.g_opt->zero_grad();
-  w.g.backward(feedback);
+  w.g.backward_ws(feedback);
   w.g_opt->step();
 }
 

@@ -77,7 +77,8 @@ void StandaloneGan::train(const data::InMemoryDataset& dataset,
     Tensor x_real = dataset.sample_batch(rng_, b, &y_real);
     std::vector<int> y_fake;
     Tensor z = sample_latent(arch_, codes_, b, rng_, y_fake);
-    Tensor x_fake = g_.forward(z, /*train=*/true);
+    // x_fake lives in G's scratch until G's next forward (x_gen below).
+    const Tensor& x_fake = g_.forward_ws(z, /*train=*/true);
     for (std::size_t l = 0; l < hp_.disc_steps; ++l) {
       disc_learning_step(d_, *d_opt_, x_real, y_real, x_fake, y_fake,
                          arch_.acgan);
@@ -86,11 +87,11 @@ void StandaloneGan::train(const data::InMemoryDataset& dataset,
     // Generator learning: feedback through D, then backprop through G.
     std::vector<int> y_gen;
     Tensor z2 = sample_latent(arch_, codes_, b, rng_, y_gen);
-    Tensor x_gen = g_.forward(z2, /*train=*/true);
+    const Tensor& x_gen = g_.forward_ws(z2, /*train=*/true);
     Tensor feedback = generator_feedback(
         d_, x_gen, arch_.acgan ? &y_gen : nullptr, hp_.saturating);
     g_opt_->zero_grad();
-    g_.backward(feedback);
+    g_.backward_ws(feedback);
     g_opt_->step();
 
     if (hook && eval_every > 0 && (i % eval_every == 0 || i == iters)) {

@@ -21,13 +21,6 @@ void check_backward_shape(const Tensor* cached, const Tensor& grad,
 
 }  // namespace
 
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor ReLU::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& ReLU::forward_ws(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
@@ -63,13 +56,6 @@ LeakyReLU::LeakyReLU(float alpha) : alpha_(alpha) {
   if (alpha < 0.f) {
     throw std::invalid_argument("LeakyReLU: alpha must be >= 0");
   }
-}
-
-Tensor LeakyReLU::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor LeakyReLU::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
 }
 
 const Tensor& LeakyReLU::forward_ws(const Tensor& x, bool /*train*/) {
@@ -116,13 +102,6 @@ const Tensor& LeakyReLU::backward_ws(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor Tanh::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& Tanh::forward_ws(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
@@ -152,13 +131,6 @@ const Tensor& Tanh::backward_ws(const Tensor& grad_out) {
     }
   });
   return g;
-}
-
-Tensor Sigmoid::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
 }
 
 const Tensor& Sigmoid::forward_ws(const Tensor& x, bool /*train*/) {

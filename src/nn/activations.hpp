@@ -13,8 +13,6 @@ namespace mdgan::nn {
 
 class ReLU : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::string name() const override { return "ReLU"; }
@@ -29,8 +27,6 @@ class LeakyReLU : public Layer {
   // alpha must be >= 0: backward uses the output sign as the mask,
   // which only matches the input sign for non-negative slopes.
   explicit LeakyReLU(float alpha = 0.2f);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::string name() const override { return "LeakyReLU"; }
@@ -44,8 +40,6 @@ class LeakyReLU : public Layer {
 
 class Tanh : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::string name() const override { return "Tanh"; }
@@ -57,8 +51,6 @@ class Tanh : public Layer {
 
 class Sigmoid : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::string name() const override { return "Sigmoid"; }

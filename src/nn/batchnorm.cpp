@@ -32,15 +32,23 @@ void BatchNorm::split_dims(const Shape& s, std::size_t& outer,
   }
 }
 
-Tensor BatchNorm::forward(const Tensor& x, bool train) {
+const Tensor& BatchNorm::forward_ws(const Tensor& x, bool train) {
   std::size_t outer, inner;
   split_dims(x.shape(), outer, inner, "BatchNorm::forward");
+  ws_.reset();
   cached_shape_ = x.shape();
   const std::size_t n_per_ch = outer * inner;
   const float* px = x.data();
 
-  Tensor mean({channels_});
-  Tensor var({channels_});
+  // Same slots in both modes, so eval and train steps reuse storage.
+  Tensor& y = ws_.acquire(x.shape());
+  Tensor& xhat = ws_.acquire(x.shape());
+  Tensor& inv_std = ws_.acquire({channels_});
+  Tensor& batch_mean = ws_.acquire({channels_});
+  Tensor& batch_var = ws_.acquire({channels_});
+  // Inference reads the running estimates in place.
+  const Tensor& mean = train ? batch_mean : running_mean_;
+  const Tensor& var = train ? batch_var : running_var_;
   if (train) {
     for (std::size_t c = 0; c < channels_; ++c) {
       double acc = 0.0;
@@ -48,55 +56,54 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
         const float* p = px + (o * channels_ + c) * inner;
         for (std::size_t i = 0; i < inner; ++i) acc += p[i];
       }
-      mean[c] = static_cast<float>(acc / n_per_ch);
+      batch_mean[c] = static_cast<float>(acc / n_per_ch);
     }
     for (std::size_t c = 0; c < channels_; ++c) {
       double acc = 0.0;
       for (std::size_t o = 0; o < outer; ++o) {
         const float* p = px + (o * channels_ + c) * inner;
         for (std::size_t i = 0; i < inner; ++i) {
-          const double d = p[i] - mean[c];
+          const double d = p[i] - batch_mean[c];
           acc += d * d;
         }
       }
-      var[c] = static_cast<float>(acc / n_per_ch);
+      batch_var[c] = static_cast<float>(acc / n_per_ch);
     }
     for (std::size_t c = 0; c < channels_; ++c) {
       running_mean_[c] =
-          momentum_ * running_mean_[c] + (1.f - momentum_) * mean[c];
+          momentum_ * running_mean_[c] + (1.f - momentum_) * batch_mean[c];
       running_var_[c] =
-          momentum_ * running_var_[c] + (1.f - momentum_) * var[c];
+          momentum_ * running_var_[c] + (1.f - momentum_) * batch_var[c];
     }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
   }
 
-  cached_inv_std_ = Tensor({channels_});
   for (std::size_t c = 0; c < channels_; ++c) {
-    cached_inv_std_[c] = 1.f / std::sqrt(var[c] + eps_);
+    inv_std[c] = 1.f / std::sqrt(var[c] + eps_);
   }
+  cached_inv_std_ = &inv_std;
+  cached_xhat_ = &xhat;
 
-  Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
   float* py = y.data();
-  float* ph = cached_xhat_.data();
+  float* ph = xhat.data();
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float m = mean[c], is = cached_inv_std_[c];
+      const float m = mean[c], is = inv_std[c];
       const float g = gamma_[c], bt = beta_[c];
       const std::size_t base = (o * channels_ + c) * inner;
       for (std::size_t i = 0; i < inner; ++i) {
-        const float xhat = (px[base + i] - m) * is;
-        ph[base + i] = xhat;
-        py[base + i] = g * xhat + bt;
+        const float xh = (px[base + i] - m) * is;
+        ph[base + i] = xh;
+        py[base + i] = g * xh + bt;
       }
     }
   }
   return y;
 }
 
-Tensor BatchNorm::backward(const Tensor& grad_out) {
+const Tensor& BatchNorm::backward_ws(const Tensor& grad_out) {
+  if (!cached_xhat_) {
+    throw std::logic_error("BatchNorm::backward: no forward pass cached");
+  }
   if (grad_out.shape() != cached_shape_) {
     throw std::invalid_argument("BatchNorm::backward: grad shape mismatch");
   }
@@ -104,11 +111,14 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
   split_dims(cached_shape_, outer, inner, "BatchNorm::backward");
   const std::size_t n_per_ch = outer * inner;
   const float* pg = grad_out.data();
-  const float* ph = cached_xhat_.data();
+  const float* ph = cached_xhat_->data();
+  const float* pis = cached_inv_std_->data();
 
   // Per-channel reductions: sum(g), sum(g*xhat).
-  Tensor sum_g({channels_});
-  Tensor sum_gx({channels_});
+  Tensor& sum_g = ws_.acquire({channels_});
+  Tensor& sum_gx = ws_.acquire({channels_});
+  sum_g.zero();
+  sum_gx.zero();
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
       const std::size_t base = (o * channels_ + c) * inner;
@@ -126,12 +136,12 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
 
   // dx = gamma * inv_std / n * (n*g - sum(g) - xhat * sum(g*xhat))
   // (training-mode batch statistics are part of the graph).
-  Tensor dx(cached_shape_);
+  Tensor& dx = ws_.acquire(cached_shape_);
   float* pd = dx.data();
   const float inv_n = 1.f / static_cast<float>(n_per_ch);
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float coef = gamma_[c] * cached_inv_std_[c] * inv_n;
+      const float coef = gamma_[c] * pis[c] * inv_n;
       const float sg = sum_g[c], sgx = sum_gx[c];
       const std::size_t base = (o * channels_ + c) * inner;
       for (std::size_t i = 0; i < inner; ++i) {

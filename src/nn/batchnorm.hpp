@@ -2,8 +2,12 @@
 // Rank-2 input (B, F): each feature is a channel (statistics over B).
 // Rank-4 input (B, C, H, W): statistics over B*H*W per channel, the
 // standard DCGAN placement. Running estimates are used at inference.
+// Outputs, the normalized-input cache and the per-channel statistics
+// live in a per-layer Workspace, so a warmed-up step allocates nothing.
+// Statistics accumulate in double in a fixed loop order.
 #pragma once
 
+#include "common/workspace.hpp"
 #include "nn/layer.hpp"
 
 namespace mdgan::nn {
@@ -13,8 +17,8 @@ class BatchNorm : public Layer {
   explicit BatchNorm(std::size_t channels, float momentum = 0.9f,
                      float eps = 1e-5f);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward_ws(const Tensor& x, bool train) override;
+  const Tensor& backward_ws(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> grads() override { return {&dgamma_, &dbeta_}; }
   std::string name() const override { return "BatchNorm"; }
@@ -32,9 +36,10 @@ class BatchNorm : public Layer {
   float momentum_, eps_;
   Tensor gamma_, beta_, dgamma_, dbeta_;
   Tensor running_mean_, running_var_;
-  // Forward caches (training mode).
-  Tensor cached_xhat_;
-  Tensor cached_inv_std_;  // per-channel 1/sqrt(var+eps)
+  Workspace ws_;
+  // Forward caches (workspace slots, set by forward_ws).
+  const Tensor* cached_xhat_ = nullptr;
+  const Tensor* cached_inv_std_ = nullptr;  // per-channel 1/sqrt(var+eps)
   Shape cached_shape_;
 };
 

@@ -21,14 +21,6 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
       dw_({out_channels, in_channels * kh * kw}),
       db_({out_channels}) {}
 
-Tensor Conv2D::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Conv2D::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& Conv2D::forward_ws(const Tensor& x, bool /*train*/) {
   if (x.rank() != 4 || x.dim(1) != ic_) {
     throw std::invalid_argument("Conv2D::forward: expected (B," +

@@ -17,8 +17,6 @@ class Conv2D : public Layer {
          std::size_t kw, std::size_t stride = 1, std::size_t pad = 0);
 
   // x must be (B, in_channels, H, W); returns (B, out_channels, oh, ow).
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }

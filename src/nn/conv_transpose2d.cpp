@@ -22,14 +22,6 @@ ConvTranspose2D::ConvTranspose2D(std::size_t in_channels,
       dw_({in_channels, out_channels * kh * kw}),
       db_({out_channels}) {}
 
-Tensor ConvTranspose2D::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& ConvTranspose2D::forward_ws(const Tensor& x, bool /*train*/) {
   if (x.rank() != 4 || x.dim(1) != ic_) {
     throw std::invalid_argument("ConvTranspose2D::forward: expected (B," +

@@ -19,8 +19,6 @@ class ConvTranspose2D : public Layer {
                   std::size_t kh, std::size_t kw, std::size_t stride = 1,
                   std::size_t pad = 0);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }

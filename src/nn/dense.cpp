@@ -36,14 +36,6 @@ Dense::Dense(std::size_t in_features, std::size_t out_features)
       dw_({in_features, out_features}),
       db_({out_features}) {}
 
-Tensor Dense::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Dense::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& Dense::forward_ws(const Tensor& x, bool train) {
   (void)train;
   if (x.rank() != 2 || x.dim(1) != in_) {

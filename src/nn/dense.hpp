@@ -16,8 +16,6 @@ class Dense : public Layer {
   // lives in one place.
   Dense(std::size_t in_features, std::size_t out_features);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }

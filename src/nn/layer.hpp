@@ -6,6 +6,14 @@
 // F_n is exactly dJ/dx at the discriminator input (paper §IV-B2), so the
 // chain through every layer's input gradient is load-bearing and is
 // covered by finite-difference tests.
+//
+// Each layer implements its math once, in the workspace pair
+// forward_ws/backward_ws: results live in layer-owned scratch that is
+// reused across steps, so a warmed-up layer allocates nothing. Hot
+// callers (the server's generator, the trainers, the workers'
+// discriminators) use that pair directly. forward/backward are
+// non-virtual wrappers that return a copy of the ws result, for cold
+// paths (scoring, evaluation, tests) that want an owning Tensor.
 #pragma once
 
 #include <memory>
@@ -21,28 +29,20 @@ class Layer {
   virtual ~Layer() = default;
 
   // train==true enables training-time behaviour (e.g. batch statistics);
-  // inference uses running estimates.
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  // inference uses running estimates. The returned reference is valid
+  // until this layer's next forward_ws/backward_ws (or forward/backward)
+  // call.
+  virtual const Tensor& forward_ws(const Tensor& x, bool train) = 0;
 
   // grad_out is dL/d(output); returns dL/d(input) and *accumulates* into
   // parameter gradients (callers zero_grad() between steps). Must be
-  // called after a matching forward (layers cache what they need).
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  // called after a matching forward (layers cache what they need). The
+  // returned reference has the same lifetime as forward_ws's.
+  virtual const Tensor& backward_ws(const Tensor& grad_out) = 0;
 
-  // Workspace-backed hot path: identical math to forward()/backward()
-  // but the result lives in layer-owned scratch that is reused across
-  // steps, so warmed-up layers allocate nothing. The returned reference
-  // is valid until this layer's next forward_ws/backward_ws (or
-  // forward/backward) call. The base implementation falls back to the
-  // allocating pair, so only hot layers need to override.
-  virtual const Tensor& forward_ws(const Tensor& x, bool train) {
-    fallback_out_ = forward(x, train);
-    return fallback_out_;
-  }
-  virtual const Tensor& backward_ws(const Tensor& grad_out) {
-    fallback_grad_ = backward(grad_out);
-    return fallback_grad_;
-  }
+  // Owning copies of the ws results, for callers off the hot path.
+  Tensor forward(const Tensor& x, bool train) { return forward_ws(x, train); }
+  Tensor backward(const Tensor& grad_out) { return backward_ws(grad_out); }
 
   // Trainable parameters and their gradient buffers, index-aligned.
   virtual std::vector<Tensor*> params() { return {}; }
@@ -59,10 +59,6 @@ class Layer {
     for (Tensor* p : params()) n += p->numel();
     return n;
   }
-
- private:
-  // Holds results for the default (allocating) forward_ws/backward_ws.
-  Tensor fallback_out_, fallback_grad_;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

@@ -17,14 +17,6 @@ MinibatchDiscrimination::MinibatchDiscrimination(std::size_t in_features,
       t_({in_features, num_kernels * kernel_dim}),
       dt_({in_features, num_kernels * kernel_dim}) {}
 
-Tensor MinibatchDiscrimination::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor MinibatchDiscrimination::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& MinibatchDiscrimination::forward_ws(const Tensor& x,
                                                   bool /*train*/) {
   if (x.rank() != 2 || x.dim(1) != in_) {

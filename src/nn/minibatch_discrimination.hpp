@@ -20,8 +20,6 @@ class MinibatchDiscrimination : public Layer {
   MinibatchDiscrimination(std::size_t in_features, std::size_t num_kernels,
                           std::size_t kernel_dim);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&t_}; }

@@ -5,14 +5,6 @@
 
 namespace mdgan::nn {
 
-Tensor Reshape::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Reshape::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& Reshape::forward_ws(const Tensor& x, bool /*train*/) {
   if (x.rank() < 1) throw std::invalid_argument("Reshape: rank >= 1 needed");
   ws_.reset();
@@ -38,14 +30,6 @@ const Tensor& Reshape::backward_ws(const Tensor& grad_out) {
   Tensor& g = ws_.acquire(cached_input_shape_);
   std::copy_n(grad_out.data(), grad_out.numel(), g.data());
   return g;
-}
-
-Tensor Flatten::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Flatten::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
 }
 
 const Tensor& Flatten::forward_ws(const Tensor& x, bool /*train*/) {

@@ -16,8 +16,6 @@ class Reshape : public Layer {
   // `inner` is the per-sample shape; batch dim is preserved.
   explicit Reshape(Shape inner) : inner_(std::move(inner)) {}
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::string name() const override { return "Reshape"; }
@@ -31,8 +29,6 @@ class Reshape : public Layer {
 
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
   const Tensor& forward_ws(const Tensor& x, bool train) override;
   const Tensor& backward_ws(const Tensor& grad_out) override;
   std::string name() const override { return "Flatten"; }

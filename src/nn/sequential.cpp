@@ -6,14 +6,6 @@
 
 namespace mdgan::nn {
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Sequential::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
 const Tensor& Sequential::forward_ws(const Tensor& x, bool train) {
   const Tensor* h = &x;
   for (auto& layer : layers_) h = &layer->forward_ws(*h, train);

@@ -496,28 +496,50 @@ TEST(RoundEngineMdGan, SyncEngineMatchesReferenceTrainerBitForBit) {
   EXPECT_EQ(md.generator().flatten_parameters(), want);
 }
 
-TEST(RoundEngineMdGan, NoSwapSyncAlsoMatchesReference) {
+// Sync without swap, per architecture. The CNN case runs k = 2 through
+// a BatchNorm generator: two G forwards overwrite the layers' workspaces
+// before the fold re-forwards batch 0, so the server's ws path must
+// still match the reference's by-value copies bit for bit.
+struct NoSwapCase {
+  const char* name;
+  gan::ArchKind arch;
+  std::size_t k;
+};
+void PrintTo(const NoSwapCase& c, std::ostream* os) { *os << c.name; }
+
+class RoundEngineMdGanNoSwap : public ::testing::TestWithParam<NoSwapCase> {};
+
+TEST_P(RoundEngineMdGanNoSwap, NoSwapSyncAlsoMatchesReference) {
   const std::uint64_t seed = 67;
   const std::size_t n = 2, per_shard = 16;
-  const auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
+  const auto arch = gan::make_arch(GetParam().arch);
+  const std::size_t k = GetParam().k;
   gan::GanHyperParams hp;
   hp.batch = 8;
   hp.disc_steps = 1;
 
   const auto shards = shards_for(n, per_shard, seed);
-  const auto want = reference_sync_train(arch, hp, /*k=*/1, shards, seed,
+  const auto want = reference_sync_train(arch, hp, k, shards, seed,
                                          /*iters=*/4, /*swap_enabled=*/false);
 
   dist::SimNetwork net(n);
   MdGanConfig cfg;
   cfg.hp = hp;
-  cfg.k = 1;
+  cfg.k = k;
   cfg.swap_enabled = false;
   cfg.parallel_workers = false;
   MdGan md(arch, cfg, shards, seed, net);
   md.train(4);
   EXPECT_EQ(md.generator().flatten_parameters(), want);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Arch, RoundEngineMdGanNoSwap,
+    ::testing::Values(NoSwapCase{"MlpMnistK1", gan::ArchKind::kMlpMnist, 1},
+                      NoSwapCase{"CnnMnistK2", gan::ArchKind::kCnnMnist, 2}),
+    [](const ::testing::TestParamInfo<NoSwapCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(RoundEngineMdGan, AsyncBoundedStalenessCapsUpdates) {
   dist::SimNetwork net(3);

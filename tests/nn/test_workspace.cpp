@@ -1,9 +1,10 @@
-// Workspace-arena contract tests: (1) warmed-up Dense/Conv2D training
-// steps perform ZERO heap allocations (checked against the global
-// allocation counters installed by common/alloc_tracker.cpp), and
+// Workspace-arena contract tests: (1) warmed-up Dense/Conv2D/BatchNorm
+// training steps perform ZERO heap allocations (checked against the
+// global allocation counters installed by common/alloc_tracker.cpp), and
 // (2) arena reuse is arithmetically invisible — training with warm,
 // reused arenas produces bit-identical weights to a reference that
-// allocates fresh layers (cold arenas) every step.
+// allocates fresh layers (cold arenas) every step. Every layer runs on
+// its ws pair only; Layer::forward/backward are copies of its result.
 //
 // Shapes are deliberately small enough to stay under the GEMM engine's
 // and elementwise ops' parallel grain, so the hot path is serial and
@@ -16,6 +17,7 @@
 
 #include "common/alloc_tracker.hpp"
 #include "common/rng.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -58,6 +60,34 @@ TEST(Workspace, Conv2DSteadyStateIsAllocationFree) {
 
   auto grads = layer.grads();
   auto step = [&] {
+    const Tensor& y = layer.forward_ws(x, true);
+    (void)y;
+    const Tensor& dx = layer.backward_ws(gy);
+    (void)dx;
+    for (Tensor* g : grads) g->zero();
+  };
+  for (int i = 0; i < 3; ++i) step();
+
+  const AllocStats before = alloc_stats();
+  for (int i = 0; i < 10; ++i) step();
+  const AllocStats delta = alloc_stats() - before;
+  EXPECT_EQ(delta.count, 0u) << "bytes=" << delta.bytes;
+  EXPECT_EQ(delta.bytes, 0u);
+}
+
+TEST(Workspace, BatchNormSteadyStateIsAllocationFree) {
+  Rng rng(3);
+  BatchNorm layer(4);
+  Tensor x = Tensor::randn({2, 4, 6, 6}, rng);
+  Tensor gy = Tensor::randn({2, 4, 6, 6}, rng);
+  Tensor x_eval = Tensor::randn({3, 4, 6, 6}, rng);
+
+  auto grads = layer.grads();
+  // An inference pass at another batch size between training steps, as
+  // the evaluator interleaves with the server's generator updates.
+  auto step = [&] {
+    const Tensor& y_eval = layer.forward_ws(x_eval, false);
+    (void)y_eval;
     const Tensor& y = layer.forward_ws(x, true);
     (void)y;
     const Tensor& dx = layer.backward_ws(gy);
@@ -151,6 +181,11 @@ TEST(Workspace, Conv2DReuseIsBitIdenticalToPerStepAllocation) {
   check_reuse_determinism(
       [] { return std::make_unique<Conv2D>(3, 5, 3, 3, 2, 1); },
       Shape{2, 3, 9, 9}, Shape{2, 5, 5, 5}, 43);
+}
+
+TEST(Workspace, BatchNormReuseIsBitIdenticalToPerStepAllocation) {
+  check_reuse_determinism([] { return std::make_unique<BatchNorm>(5); },
+                          Shape{4, 5, 3, 3}, Shape{4, 5, 3, 3}, 44);
 }
 
 }  // namespace
