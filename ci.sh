@@ -9,10 +9,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # `ci.sh --tsan`: ThreadSanitizer pass over the concurrency-heavy
-# dist/core tests (reader threads, the per-connection writer queues and
-# their backpressure, the acceptor's control pump, mark_dead vs close)
-# in its own build tree, then a heartbeat-enabled loopback run — the
-# ping/pong pump, the liveness tracker and the reader threads all under
+# dist/core tests (producers vs each endpoint's I/O loop: the bounded
+# send queues and their backpressure, the death fan-out, mark_dead vs
+# close) in its own build tree, then a heartbeat-enabled loopback run —
+# pings, pongs, the liveness tracker and the engine threads all under
 # the race detector at once — and exit.
 if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMDGAN_TSAN=ON \
@@ -107,6 +107,17 @@ echo "--- smoke: bench_stragglers --tiny"
 
 echo "--- smoke: bench_micro_ops --tiny"
 ./bench_micro_ops --tiny --json=BENCH_micro_ops.json
+
+echo "--- smoke: mdgan_node refuses a flag it does not define"
+# --arch is not an mdgan_node flag: ignoring it would run the default
+# MLP and print its checksum as if the CNN had been asked for.
+rc=0
+./mdgan_node --role=sim --arch=cnn-mnist > unknown_flag.log 2>&1 || rc=$?
+[ "$rc" -eq 2 ] && grep -q 'unknown flag --arch' unknown_flag.log || {
+  echo "FAIL: mdgan_node --arch=cnn-mnist exited $rc, want 2 naming --arch"
+  cat unknown_flag.log
+  exit 1
+}
 
 echo "--- smoke: mdgan_node loopback TCP (server + 2 workers vs sim)"
 # Both the sim and the TCP server run with telemetry on: the checksum
@@ -333,9 +344,9 @@ echo "--- drill: kill -9 a worker mid-run (unscheduled fail-stop + rejoin)"
 # control plane, and finish all iterations with finite weights; a probe
 # process then re-dials as worker 3 and must be granted a rejoin under
 # a bumped membership epoch rather than rejected as a duplicate.
-# The TCP sends ride the per-connection async writer queues, so the
-# drill also proves the crash control plane (fail-stop, rejoin, !state)
-# survives those queues dropping a dead peer's frames.
+# The TCP sends ride the per-connection send queues, so the drill also
+# proves the crash control plane (fail-stop, rejoin, !state) survives
+# those queues dropping a dead peer's frames.
 KILL_FLAGS="--workers=3 --iters=30 --k=2 --swap=0 --recv-timeout=15 \
   --log-level=info"
 ./mdgan_node --role=server --port=0 $KILL_FLAGS \

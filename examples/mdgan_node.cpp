@@ -24,7 +24,8 @@
 // Adam step per feedback as it arrives, with --max-staleness capping
 // how stale an applied feedback may be and --staleness-damping scaling
 // its learning rate by 1/(1 + damping * staleness)). --send-queue-depth
-// bounds each TCP connection's async writer queue.
+// bounds each TCP connection's send queue. Any other flag is refused
+// (exit 2) rather than silently ignored.
 //
 // Observability: --trace-out=PATH writes a Chrome trace-event JSON
 // (load in Perfetto / chrome://tracing: one track per node, spans for
@@ -90,6 +91,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/log.hpp"
@@ -102,6 +104,16 @@
 #include "obs/sink.hpp"
 
 namespace {
+
+// Every flag mdgan_node reads, across all roles.
+const std::vector<std::string> kKnownFlags = {
+    "absent", "batch", "compress", "connect", "dial-backoff-ms",
+    "dial-retries", "flight-out", "grace-ms", "heartbeat-ms", "id", "iters",
+    "k", "log-level", "max-staleness", "metrics-interval", "metrics-out",
+    "port", "recv-retries", "recv-timeout", "recv-timeout-ms",
+    "rendezvous-timeout", "role", "seed", "send-queue-depth", "server-mode",
+    "shard", "staleness-damping", "stats-timeout", "step-delay-ms",
+    "suspect-ms", "swap", "trace-compute", "trace-out", "workers"};
 
 using namespace mdgan;
 
@@ -232,8 +244,8 @@ dist::TcpOptions tcp_options_from(const CliFlags& flags) {
   opts.suspect_after_s =
       flags.get_double("suspect-ms", opts.suspect_after_s * 1000.0) / 1000.0;
   opts.grace_s = flags.get_double("grace-ms", opts.grace_s * 1000.0) / 1000.0;
-  // Per-connection async writer queue bound (frames); a full queue
-  // backpressures the producer until the writer drains a slot.
+  // Per-connection send queue bound (frames); a full queue
+  // backpressures the producer until the I/O loop writes a frame out.
   opts.send_queue_depth = static_cast<std::size_t>(flags.get_int(
       "send-queue-depth", static_cast<std::int64_t>(opts.send_queue_depth)));
   return opts;
@@ -426,6 +438,11 @@ int run_stats_probe(const std::string& connect, double timeout_s) {
 
 int main(int argc, char** argv) {
   CliFlags flags(argc, argv);
+  const auto unknown = flags.unknown(kKnownFlags);
+  for (const auto& name : unknown) {
+    std::fprintf(stderr, "mdgan_node: unknown flag --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 2;
   const std::string role = flags.get("role", "sim");
   try {
     const std::string level = flags.get("log-level", "");

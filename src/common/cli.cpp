@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -58,6 +59,17 @@ std::vector<std::string> CliFlags::flag_names() const {
   names.reserve(flags_.size());
   for (const auto& [k, _] : flags_) names.push_back(k);
   return names;
+}
+
+std::vector<std::string> CliFlags::unknown(
+    const std::vector<std::string>& known) const {
+  std::vector<std::string> out;
+  for (const auto& [k, _] : flags_) {
+    if (std::find(known.begin(), known.end(), k) == known.end()) {
+      out.push_back(k);
+    }
+  }
+  return out;
 }
 
 }  // namespace mdgan

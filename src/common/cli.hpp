@@ -25,6 +25,10 @@ class CliFlags {
 
   const std::vector<std::string>& positional() const { return positional_; }
   std::vector<std::string> flag_names() const;
+  // The parsed flag names missing from `known`, sorted: a binary that
+  // lists the flags it defines can refuse a typo instead of silently
+  // running with the default.
+  std::vector<std::string> unknown(const std::vector<std::string>& known) const;
 
  private:
   std::map<std::string, std::string> flags_;

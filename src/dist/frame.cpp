@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <cstring>
 #include <stdexcept>
 
 namespace mdgan::dist {
@@ -22,8 +21,6 @@ void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put_le32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-}  // namespace
-
 std::uint32_t read_le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          static_cast<std::uint32_t>(p[1]) << 8 |
@@ -31,10 +28,26 @@ std::uint32_t read_le32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-std::uint64_t read_le64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(read_le32(p)) |
-         static_cast<std::uint64_t>(read_le32(p + 4)) << 32;
+// Parses the fixed body fields of a `body_len`-byte body into `f` and
+// returns the tag length; throws when the tag overruns the body (or
+// the tag cap) — before anything is allocated for it.
+std::uint32_t parse_fixed(const std::uint8_t* fixed, std::size_t body_len,
+                          Frame& f) {
+  f.src = static_cast<std::int32_t>(read_le32(fixed));
+  f.dst = static_cast<std::int32_t>(read_le32(fixed + 4));
+  const std::uint32_t tag_len = read_le32(fixed + 8);
+  f.ctx.node = read_le32(fixed + 12);
+  f.ctx.seq = read_le32(fixed + 16);
+  f.ctx.span = static_cast<std::uint64_t>(read_le32(fixed + 20)) |
+               static_cast<std::uint64_t>(read_le32(fixed + 24)) << 32;
+  if (tag_len > kMaxFrameTagBytes ||
+      kFrameBodyFixedBytes + static_cast<std::size_t>(tag_len) > body_len) {
+    throw std::runtime_error("decode_frame_body: tag overruns body");
+  }
+  return tag_len;
 }
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_frame_head(int src, int dst,
                                             const std::string& tag,
@@ -86,21 +99,63 @@ Frame decode_frame_body(const std::uint8_t* body, std::size_t len) {
     throw std::runtime_error("decode_frame_body: truncated body");
   }
   Frame f;
-  f.src = static_cast<std::int32_t>(read_le32(body));
-  f.dst = static_cast<std::int32_t>(read_le32(body + 4));
-  const std::uint32_t tag_len = read_le32(body + 8);
-  f.ctx.node = read_le32(body + 12);
-  f.ctx.seq = read_le32(body + 16);
-  f.ctx.span = read_le64(body + 20);
-  if (tag_len > kMaxFrameTagBytes ||
-      kFrameBodyFixedBytes + static_cast<std::size_t>(tag_len) > len) {
-    throw std::runtime_error("decode_frame_body: tag overruns body");
-  }
+  const std::uint32_t tag_len = parse_fixed(body, len, f);
   f.tag.assign(reinterpret_cast<const char*>(body + kFrameBodyFixedBytes),
                tag_len);
   const std::uint8_t* payload = body + kFrameBodyFixedBytes + tag_len;
   f.payload = ByteBuffer::wrap(payload, len - kFrameBodyFixedBytes - tag_len);
   return f;
+}
+
+std::uint8_t* FrameDecoder::next() {
+  if (stage_ == Stage::kTag) {
+    return reinterpret_cast<std::uint8_t*>(&frame_.tag[got_]);
+  }
+  if (stage_ == Stage::kPayload) return payload_.data() + got_;
+  return want() > 0 ? fixed_ + got_ : nullptr;  // header, fixed fields
+}
+
+bool FrameDecoder::advance(std::size_t n) {
+  got_ += n;
+  try {
+    // Each finished stage sizes the next one; empty stages (no tag, no
+    // payload) fall straight through.
+    while (got_ == need_ && stage_ != Stage::kReady) {
+      got_ = 0;
+      switch (stage_) {
+        case Stage::kHeader:
+          body_len_ = decode_frame_header(fixed_);
+          stage_ = Stage::kFixed;
+          need_ = kFrameBodyFixedBytes;
+          break;
+        case Stage::kFixed:
+          need_ = parse_fixed(fixed_, body_len_, frame_);
+          frame_.tag.resize(need_);
+          stage_ = Stage::kTag;
+          break;
+        case Stage::kTag:
+          payload_.resize(body_len_ - kFrameBodyFixedBytes - need_);
+          need_ = payload_.size();
+          stage_ = Stage::kPayload;
+          break;
+        default:  // kPayload
+          frame_.payload = ByteBuffer::adopt(std::move(payload_));
+          need_ = 0;
+          stage_ = Stage::kReady;
+      }
+    }
+  } catch (const std::exception&) {
+    stage_ = Stage::kBad;
+    need_ = got_ = 0;
+    return false;
+  }
+  return true;
+}
+
+Frame FrameDecoder::take() {
+  Frame out = std::move(frame_);
+  *this = FrameDecoder();
+  return out;
 }
 
 bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
@@ -118,39 +173,12 @@ bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
 }
 
 bool read_frame(int fd, Frame& out) {
-  std::uint8_t header[kFrameHeaderBytes];
-  if (!read_exact(fd, header, sizeof(header))) return false;
-  std::uint32_t body_len = 0;
-  try {
-    body_len = decode_frame_header(header);
-  } catch (const std::exception&) {
-    return false;
+  FrameDecoder dec;
+  while (!dec.ready()) {
+    const std::size_t n = dec.want();
+    if (!read_exact(fd, dec.next(), n) || !dec.advance(n)) return false;
   }
-  std::uint8_t fixed[kFrameBodyFixedBytes];
-  if (!read_exact(fd, fixed, sizeof(fixed))) return false;
-  out.src = static_cast<std::int32_t>(read_le32(fixed));
-  out.dst = static_cast<std::int32_t>(read_le32(fixed + 4));
-  const std::uint32_t tag_len = read_le32(fixed + 8);
-  out.ctx.node = read_le32(fixed + 12);
-  out.ctx.seq = read_le32(fixed + 16);
-  out.ctx.span = read_le64(fixed + 20);
-  if (tag_len > kMaxFrameTagBytes ||
-      kFrameBodyFixedBytes + static_cast<std::size_t>(tag_len) > body_len) {
-    return false;  // tag overruns the announced body (or is absurd)
-  }
-  out.tag.resize(tag_len);
-  if (tag_len > 0 &&
-      !read_exact(fd, reinterpret_cast<std::uint8_t*>(&out.tag[0]),
-                  tag_len)) {
-    return false;
-  }
-  std::vector<std::uint8_t> payload(body_len - kFrameBodyFixedBytes -
-                                    tag_len);
-  if (!payload.empty() &&
-      !read_exact(fd, payload.data(), payload.size())) {
-    return false;
-  }
-  out.payload = ByteBuffer::adopt(std::move(payload));
+  out = dec.take();
   return true;
 }
 

@@ -49,9 +49,6 @@
 //                  it by the admission round's own boundary — all roles
 //                  admit (and seed the rebirth) on the same round.
 //   !ping    S->W  heartbeat probe: u64 sequence, f64 send timestamp
-//                  (server clock, seconds). The worker echoes the
-//                  payload verbatim.
-//   !ping    S->W  heartbeat probe: u64 sequence, f64 send timestamp
 //                  (server clock, seconds), then optionally i64 server
 //                  tracer nanoseconds (-1 when the server runs without
 //                  a tracer). The worker echoes the payload verbatim,
@@ -71,8 +68,10 @@
 //
 // The codec is pure (bytes in, bytes out) so the framing cost is
 // measurable in bench_micro_ops without sockets, and fuzzable in tests.
-// read_frame is the one socket-facing function: it cuts a blocking fd
-// into frames and is what the adversarial socketpair fuzz drives.
+// FrameDecoder is the one stream parser: TcpNetwork's poll loop feeds
+// it whatever a non-blocking recv returns, and read_frame drives the
+// same decoder off a blocking fd (one-shot probes, the socketpair
+// fuzz), so every byte off a socket passes the same checks.
 #pragma once
 
 #include <cstddef>
@@ -137,12 +136,6 @@ struct Frame {
   ByteBuffer payload;
 };
 
-// Little-endian u32/u64 off a raw wire pointer (for incremental
-// decoders that read the fixed body fields straight off a socket
-// buffer).
-std::uint32_t read_le32(const std::uint8_t* p);
-std::uint64_t read_le64(const std::uint8_t* p);
-
 // Serializes header + body into one contiguous buffer, ready for a
 // single write(2). Copies the payload; the scatter-gather send path
 // uses encode_frame_head + an iovec over the payload instead.
@@ -169,18 +162,44 @@ std::uint32_t decode_frame_header(const std::uint8_t header[kFrameHeaderBytes]);
 // Throws std::runtime_error on a malformed body.
 Frame decode_frame_body(const std::uint8_t* body, std::size_t len);
 
+// Incremental frame decoder: cuts a byte stream into Frames whatever
+// the chunking. The caller puts the next stream bytes at next() (at
+// most want() of them) and reports them with advance(n). Stages run
+// header -> fixed body fields -> tag -> payload, and the payload stage
+// points next() straight into the buffer the Frame's ByteBuffer adopts,
+// so payload bytes are copied off the socket exactly once. Never asks
+// for bytes past the current frame, so one fd can be handed between
+// decoders at frame boundaries.
+class FrameDecoder {
+ public:
+  std::uint8_t* next();
+  std::size_t want() const { return need_ - got_; }
+  // False when the bytes make the stream invalid: a bad magic, an
+  // oversize body_len or a tag overrun is rejected from the fixed
+  // fields, BEFORE the tag or payload is allocated. The decoder is then
+  // spent (want() == 0).
+  bool advance(std::size_t n);
+  // A whole frame is decoded; take() hands it over and rearms.
+  bool ready() const { return stage_ == Stage::kReady; }
+  Frame take();
+
+ private:
+  enum class Stage { kHeader, kFixed, kTag, kPayload, kReady, kBad };
+  Stage stage_ = Stage::kHeader;
+  std::size_t need_ = kFrameHeaderBytes;
+  std::size_t got_ = 0;
+  std::uint32_t body_len_ = 0;
+  std::uint8_t fixed_[kFrameBodyFixedBytes] = {};  // header, then fields
+  Frame frame_;
+  std::vector<std::uint8_t> payload_;
+};
+
 // Blocking exact-size read off a connected socket. False on EOF, error,
 // or (if the fd carries SO_RCVTIMEO) timeout.
 bool read_exact(int fd, std::uint8_t* dst, std::size_t n);
 
-// Reads one full frame off `fd`, incrementally: header, fixed body
-// fields, tag, then the payload straight into the buffer the Frame's
-// ByteBuffer adopts — the payload bytes (the bulk of a swap frame) are
-// copied off the socket exactly once. False when the stream ended or
-// the bytes are not a valid frame; a malformed header (bad magic,
-// oversize body_len, tag overrun) is rejected BEFORE any payload
-// allocation, so a corrupt or adversarial stream can neither crash the
-// reader nor drive a giant allocation.
+// Reads one full frame off a blocking `fd` through a FrameDecoder.
+// False when the stream ended or the bytes are not a valid frame.
 bool read_frame(int fd, Frame& out);
 
 }  // namespace mdgan::dist

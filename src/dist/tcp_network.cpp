@@ -1,15 +1,19 @@
 #include "dist/tcp_network.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -21,6 +25,14 @@
 namespace mdgan::dist {
 
 namespace {
+
+// A dialer owes its hello (or !stats probe) within this long of the
+// accept; close() lingers as long for queued frames to flush.
+constexpr double kHelloTimeoutS = 5.0;
+constexpr double kCloseLingerS = 5.0;
+// Most iovecs one sendmsg gathers: the heads and payload segments of
+// several queued frames.
+constexpr std::size_t kMaxIov = 64;
 
 bool write_exact(int fd, const std::uint8_t* src, std::size_t n) {
   std::size_t put = 0;
@@ -36,50 +48,34 @@ bool write_exact(int fd, const std::uint8_t* src, std::size_t n) {
   return true;
 }
 
-// Gathered write of `iov[0..n)` via sendmsg(2), resuming after partial
-// writes by advancing the iovec cursor in place.
-bool write_iovecs(int fd, iovec* iov, std::size_t n) {
-  std::size_t at = 0;  // first iovec with bytes left
-  while (at < n) {
-    msghdr msg{};
-    msg.msg_iov = iov + at;
-    msg.msg_iovlen = n - at;
-    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    auto left = static_cast<std::size_t>(r);
-    while (at < n && left >= iov[at].iov_len) {
-      left -= iov[at].iov_len;
-      ++at;
-    }
-    if (at < n && left > 0) {
-      iov[at].iov_base = static_cast<std::uint8_t*>(iov[at].iov_base) + left;
-      iov[at].iov_len -= left;
-    }
-  }
-  return true;
-}
-
-// Puts one staged frame (head + payload segments) on the wire: every
-// segment goes to sendmsg as its own iovec, so the payload bytes go
-// from the shared buffers straight onto the socket, never copied into
-// a contiguous wire buffer.
-bool write_out(int fd, const std::vector<std::uint8_t>& head,
-               const SharedBuf& body) {
-  std::vector<iovec> iov;
-  iov.reserve(1 + body.segments().size());
-  iov.push_back({const_cast<std::uint8_t*>(head.data()), head.size()});
-  for (const auto& seg : body.segments()) {
-    iov.push_back({const_cast<std::uint8_t*>(seg->data()), seg->size()});
-  }
-  return write_iovecs(fd, iov.data(), iov.size());
-}
-
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+std::chrono::steady_clock::time_point after(double seconds) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(seconds));
+}
+
+// One send:<tag> / recv:<tag> span of the network category.
+void emit_net_span(obs::Tracer& tracer, int node, const char* dir,
+                   const std::string& tag, std::int64_t wall_t0,
+                   double sim_t0, double sim_t1, std::size_t bytes,
+                   std::uint64_t flow) {
+  obs::TraceEvent ev;
+  std::snprintf(ev.name, obs::TraceEvent::kNameCap, "%s:%s", dir,
+                tag.c_str());
+  ev.cat = obs::Cat::kNet;
+  ev.node = node;
+  ev.wall_t0_ns = wall_t0;
+  ev.wall_dur_ns = tracer.now_ns() - wall_t0;
+  ev.sim_t0 = sim_t0;
+  ev.sim_t1 = sim_t1;
+  ev.bytes = bytes;
+  ev.flow = flow;
+  tracer.emit(ev);
 }
 
 void set_recv_timeout(int fd, double seconds) {
@@ -102,15 +98,15 @@ TcpNetwork::TcpNetwork(int local, std::size_t n_workers, Options opts)
   if (n_workers_ == 0) {
     throw std::invalid_argument("TcpNetwork: need at least one worker");
   }
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) throw std::runtime_error("TcpNetwork: eventfd() failed");
   alive_.assign(n_workers_ + 1, true);
   registered_.assign(n_workers_ + 1, false);
   recv_seq_.assign(n_workers_ + 1, 0);
   flow_seq_.assign(n_workers_ + 1, 0);
   conns_.resize(n_workers_ + 1);
   start_ = std::chrono::steady_clock::now();
-  rendezvous_deadline_ =
-      start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(opts_.rendezvous_timeout_s));
+  rendezvous_deadline_ = after(opts_.rendezvous_timeout_s);
 }
 
 std::unique_ptr<TcpNetwork> TcpNetwork::serve(std::uint16_t port,
@@ -119,7 +115,7 @@ std::unique_ptr<TcpNetwork> TcpNetwork::serve(std::uint16_t port,
   auto net = std::unique_ptr<TcpNetwork>(
       new TcpNetwork(kServerId, n_workers, opts));
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) throw std::runtime_error("TcpNetwork: socket() failed");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -139,10 +135,8 @@ std::unique_ptr<TcpNetwork> TcpNetwork::serve(std::uint16_t port,
   socklen_t len = sizeof(addr);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   net->port_ = ntohs(addr.sin_port);
-
-  net->acceptor_ = std::thread([raw = net.get(), fd] {
-    raw->accept_loop(fd);
-  });
+  net->listen_fd_ = fd;
+  net->io_ = std::thread([raw = net.get()] { raw->run_loop(); });
   return net;
 }
 
@@ -239,142 +233,457 @@ std::unique_ptr<TcpNetwork> TcpNetwork::connect(const std::string& host,
     ::close(fd);
     throw std::runtime_error("TcpNetwork: rendezvous hello failed");
   }
-
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  Conn* raw_conn = conn.get();
-  net->conns_[kServerId] = std::move(conn);
-  net->conns_[kServerId]->reader = std::thread(
-      [raw = net.get(), raw_conn] { raw->reader_loop(kServerId, raw_conn); });
-  net->spawn_writer(kServerId, raw_conn);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  net->conns_[kServerId].fd = fd;
+  net->io_ = std::thread([raw = net.get()] { raw->run_loop(); });
   return net;
 }
 
-TcpNetwork::~TcpNetwork() { close_all(); }
-
-void TcpNetwork::close() { close_all(); }
-
-void TcpNetwork::close_all() {
-  std::lock_guard<std::mutex> guard(close_mu_);
-  if (closed_) return;
-  closed_ = true;
-  closing_.store(true);
-  cv_.notify_all();
-  if (acceptor_.joinable()) acceptor_.join();
-  for (auto& conn : conns_) {
-    if (!conn) continue;
-    // flush=true: let the writer drain frames already accepted into its
-    // queue (bounded linger) before the fd is severed.
-    retire_conn_threads(*conn, /*flush=*/true);
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
-  }
-  // Retired connections (replaced by a rejoin) already had their
-  // threads joined and fd closed when they were retired.
+TcpNetwork::~TcpNetwork() {
+  close();
+  ::close(wake_fd_);
 }
 
-void TcpNetwork::accept_loop(int listen_fd) {
-  while (!closing_.load()) {
-    bool all_joined = true;
+void TcpNetwork::close() {
+  std::call_once(close_once_, [this] {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t w = 1; w <= n_workers_; ++w) {
-        if (!registered_[w]) {
-          all_joined = false;
-          break;
-        }
-      }
+      closing_.store(true);
     }
-    // A missed rendezvous ends the run; but once every worker has dialed
-    // in at least once, the acceptor stays alive as the control-plane
-    // pump and the rejoin listener.
-    if (!all_joined &&
-        std::chrono::steady_clock::now() >= rendezvous_deadline_) {
-      break;
-    }
-    pump_control();
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, 200 /*ms*/);
-    if (pr <= 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) continue;
-    set_nodelay(fd);
-    // A connector that never completes its hello must not stall the
-    // acceptor forever.
-    set_recv_timeout(fd, 5.0);
-    Frame hello;
-    int id = -1;
-    const bool got_hello = read_frame(fd, hello);
-    // A `!stats` probe in hello position is not a join: answer with one
-    // snapshot frame and move on. Any client may dial it at any time.
-    if (got_hello && hello.tag == kTagStats) {
-      serve_stats(fd);
-      ::close(fd);
-      continue;
-    }
-    if (got_hello && hello.tag == kTagHello &&
-        hello.payload.size() >= 12) {
-      const auto claimed = hello.payload.read_pod<std::uint32_t>();
-      const auto n = hello.payload.read_pod<std::uint64_t>();
-      if (claimed >= 1 && claimed <= n_workers_ && n == n_workers_ &&
-          hello.src == static_cast<int>(claimed)) {
-        id = static_cast<int>(claimed);
-      }
-    }
-    if (id <= 0) {
-      MDGAN_LOG_WARN << "TcpNetwork: rejecting connection with bad hello";
-      ::close(fd);
-      continue;
-    }
-    set_recv_timeout(fd, 0.0);  // back to fully blocking
-    // The acceptor is the only writer of worker conn slots; classify the
-    // hello against the slot's state (reads race nothing, but take mu_
-    // anyway for the liveness flag).
-    bool duplicate = false, is_rejoin = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (conns_[static_cast<std::size_t>(id)] != nullptr) {
-        if (alive_[static_cast<std::size_t>(id)]) {
-          duplicate = true;
-        } else {
-          is_rejoin = true;  // the slot's connection died: welcome back
-        }
-      }
-    }
-    if (duplicate) {
-      MDGAN_LOG_WARN << "TcpNetwork: rejecting duplicate hello for live "
-                        "worker " << id;
-      ::close(fd);
-      continue;
-    }
-    if (is_rejoin) {
-      grant_rejoin(id, fd);
-      continue;
-    }
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    // Publish the connection BEFORE flagging the worker registered
-    // (both under mu_): senders gate on registered_ under the same
-    // mutex, so they can never observe a registered worker whose conn
-    // slot is still being written.
-    ByteBuffer epoch_payload;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      conns_[static_cast<std::size_t>(id)] = std::move(conn);
-      registered_[static_cast<std::size_t>(id)] = true;
-      liveness_.track(id, elapsed_s());
-      epoch_payload = encode_epoch_locked();
-    }
-    conns_[static_cast<std::size_t>(id)]->reader =
-        std::thread([this, id, raw] { reader_loop(id, raw); });
-    spawn_writer(id, raw);
-    // Hello ack: current epoch + live bitmap, so a late joiner learns of
-    // any deaths that predate it.
-    write_frame(*raw, id, kServerId, id, kTagEpoch, epoch_payload);
     cv_.notify_all();
+    poke();
+    if (io_.joinable()) io_.join();
+  });
+}
+
+void TcpNetwork::poke() {
+  const std::uint64_t one = 1;
+  const ssize_t r = ::write(wake_fd_, &one, sizeof(one));
+  (void)r;  // a full counter is already a pending wakeup
+}
+
+void TcpNetwork::run_loop() {
+  std::vector<pollfd> fds;
+  std::vector<int> ids;  // per fds entry: node slot, or one of the below
+  constexpr int kWake = -1, kListen = -2, kPending = -3;
+  double linger_until = -1.0;
+  for (;;) {
+    const double now = elapsed_s();
+    double wake_at = -1.0;  // earliest timer, endpoint seconds
+    const auto until = [&](double t) {
+      if (wake_at < 0.0 || t < wake_at) wake_at = t;
+    };
+    fds.assign(1, pollfd{wake_fd_, POLLIN, 0});
+    ids.assign(1, kWake);
+    bool done = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      bool queued = false;
+      for (std::size_t w = 0; w < conns_.size(); ++w) {
+        Conn& c = conns_[w];
+        if (c.fd < 0) continue;
+        if (!alive_[w]) {
+          drop_conn(static_cast<int>(w));
+          continue;
+        }
+        queued = queued || !c.queue.empty();
+        // A relay into a full queue paused this source; resume once
+        // the destination drained (or died).
+        const auto rw = static_cast<std::size_t>(c.relay_wait);
+        if (c.relay_wait >= 0 &&
+            (!alive_[rw] ||
+             conns_[rw].queue.size() < opts_.send_queue_depth)) {
+          c.relay_wait = -1;
+        }
+        const auto ev = static_cast<short>((c.relay_wait < 0 ? POLLIN : 0) |
+                                           (c.out_blocked ? POLLOUT : 0));
+        if (ev != 0) {
+          fds.push_back({c.fd, ev, 0});
+          ids.push_back(static_cast<int>(w));
+        }
+      }
+      if (closing_.load()) {
+        if (linger_until < 0.0) linger_until = now + kCloseLingerS;
+        done = !queued || now >= linger_until;
+        until(linger_until);
+      } else if (listen_fd_ >= 0) {
+        const bool joined = all_registered();
+        if (!joined && now >= opts_.rendezvous_timeout_s) {
+          ::close(listen_fd_);  // a missed rendezvous ends the run
+          listen_fd_ = -1;
+        } else {
+          fds.push_back({listen_fd_, POLLIN, 0});
+          ids.push_back(kListen);
+          if (!joined) until(opts_.rendezvous_timeout_s);
+        }
+      }
+      for (const Conn& p : pending_) {
+        fds.push_back(
+            {p.fd, static_cast<short>(p.reply_then_close ? POLLOUT : POLLIN), 0});
+        ids.push_back(kPending);
+        until(p.hello_deadline);
+      }
+      if (local_ == kServerId && liveness_.config().enabled()) {
+        until(last_ping_s_ + liveness_.config().heartbeat_interval_s);
+      }
+    }
+    if (done) break;
+
+    int timeout_ms = -1;  // no timer: sleep until an fd is ready
+    if (wake_at >= 0.0) {
+      timeout_ms = static_cast<int>(std::ceil(
+          std::clamp(wake_at - elapsed_s(), 0.0, 60.0) * 1000.0));
+    }
+    ::poll(fds.data(), fds.size(), timeout_ms);
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      const short re = fds[i].revents;
+      if (re == 0 || ids[i] == kPending) continue;  // serve_pending polls
+      if (ids[i] == kWake) {
+        std::uint64_t n = 0;
+        const ssize_t r = ::read(wake_fd_, &n, sizeof(n));
+        (void)r;
+      } else if (ids[i] == kListen) {
+        for (int fd; (fd = ::accept4(listen_fd_, nullptr, nullptr,
+                                     SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0;) {
+          set_nodelay(fd);
+          pending_.emplace_back();
+          pending_.back().fd = fd;
+          pending_.back().hello_deadline = elapsed_s() + kHelloTimeoutS;
+        }
+      } else {
+        Conn& c = conns_[static_cast<std::size_t>(ids[i])];
+        if (re & POLLOUT) c.out_blocked = false;
+        if ((re & (POLLIN | POLLHUP | POLLERR)) && c.relay_wait < 0 &&
+            !drain(ids[i], c)) {
+          mark_dead(ids[i]);
+        }
+      }
+    }
+    serve_pending();
+    pump_heartbeats();
+    // Optimistic writes: whatever got queued since the last pass goes
+    // out now, without waiting a poll round for POLLOUT.
+    for (std::size_t w = 0; w < conns_.size(); ++w) {
+      Conn& c = conns_[w];
+      if (c.fd >= 0 && !c.out_blocked && !flush(c)) {
+        mark_dead(static_cast<int>(w));
+      }
+    }
   }
-  ::close(listen_fd);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t w = 0; w < conns_.size(); ++w) {
+    if (conns_[w].fd >= 0) drop_conn(static_cast<int>(w));
+  }
+  for (const Conn& p : pending_) ::close(p.fd);
+  pending_.clear();
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
+}
+
+bool TcpNetwork::read_some(Conn& c) {
+  while (!c.dec.ready()) {
+    const std::size_t want = c.dec.want();
+    const ssize_t r = ::recv(c.fd, c.dec.next(), want, 0);
+    if (r > 0) {
+      if (!c.dec.advance(static_cast<std::size_t>(r))) return false;
+      continue;
+    }
+    if (r < 0 && errno == EINTR) continue;
+    return r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
+bool TcpNetwork::drain(int peer, Conn& c) {
+  while (c.relay_wait < 0) {
+    if (!read_some(c)) return false;
+    if (!c.dec.ready()) return true;  // socket drained mid-frame
+    deliver(peer, c.dec.take());
+  }
+  return true;
+}
+
+bool TcpNetwork::flush(Conn& c) {
+  std::vector<OutFrame> written;
+  for (;;) {
+    const OutFrame* frames[kMaxIov];
+    std::size_t n_frames = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      n_frames = std::min(c.queue.size(), kMaxIov);
+      for (std::size_t i = 0; i < n_frames; ++i) frames[i] = &c.queue[i];
+    }
+    if (n_frames == 0) return true;
+    // Gather heads and payload segments, skipping what a partial write
+    // already put on the wire; the payload bytes are never copied.
+    iovec iov[kMaxIov];
+    std::size_t n_iov = 0, skip = c.sent, offered = 0;
+    const auto add = [&](const std::uint8_t* p, std::size_t len) {
+      if (skip >= len) {
+        skip -= len;
+      } else if (n_iov < kMaxIov) {
+        iov[n_iov++] = {const_cast<std::uint8_t*>(p) + skip, len - skip};
+        offered += len - skip;
+        skip = 0;
+      }
+    };
+    for (std::size_t i = 0; i < n_frames; ++i) {
+      add(frames[i]->head.data(), frames[i]->head.size());
+      for (const auto& seg : frames[i]->body.segments()) {
+        add(seg->data(), seg->size());
+      }
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
+    const ssize_t r = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      c.out_blocked = true;
+      return true;
+    }
+    if (r < 0) return false;
+    std::size_t done = c.sent + static_cast<std::size_t>(r);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const bool was_full = c.queue.size() >= opts_.send_queue_depth;
+      while (!c.queue.empty() && done >= c.queue.front().size()) {
+        done -= c.queue.front().size();
+        written.push_back(std::move(c.queue.front()));  // freed unlocked
+        c.queue.pop_front();
+      }
+      c.sent = done;
+      if (was_full) cv_.notify_all();  // a producer may wait for room
+    }
+    written.clear();
+    if (static_cast<std::size_t>(r) < offered) {
+      c.out_blocked = true;  // the socket buffer is full
+      return true;
+    }
+  }
+}
+
+void TcpNetwork::drop_conn(int peer) {
+  Conn& c = conns_[static_cast<std::size_t>(peer)];
+  std::uint64_t frames = 0, bytes = 0;
+  for (const auto& f : c.queue) {
+    ++frames;
+    bytes += f.size();
+  }
+  // What a dead peer never received goes into the flight recorder (the
+  // post-mortem's "what was lost on the epoch bump"); a live peer's
+  // leftovers at the end of close()'s linger are not a fault.
+  if (frames > 0 && !alive_[static_cast<std::size_t>(peer)]) {
+    obs_writer_drop(peer, frames, bytes);
+    if (!closing_.load()) {
+      MDGAN_LOG_WARN << "TcpNetwork: dropped " << frames
+                     << " queued frame(s) (" << bytes
+                     << " bytes) to dead peer " << peer;
+    }
+  }
+  c.queue.clear();
+  ::close(c.fd);
+  c.fd = -1;
+  c.sent = 0;
+  c.out_blocked = false;
+  c.dec = FrameDecoder();
+  c.relay_wait = -1;
+  ++c.generation;  // producers waiting for this connection give up
+  cv_.notify_all();
+}
+
+bool TcpNetwork::enqueue(int peer, OutFrame&& f,
+                         std::unique_lock<std::mutex>* lock) {
+  Conn& c = conns_[static_cast<std::size_t>(peer)];
+  const std::uint64_t generation = c.generation;
+  const auto gone = [&] {
+    return closing_.load() || !alive_[static_cast<std::size_t>(peer)] ||
+           c.fd < 0 || c.generation != generation;
+  };
+  if (gone()) return false;
+  if (lock != nullptr && c.queue.size() >= opts_.send_queue_depth) {
+    // Backpressure: wait for the loop to write a frame out or for the
+    // peer to die (its queue is then dropped, so this never outlives
+    // it).
+    const auto t0 = std::chrono::steady_clock::now();
+    cv_.wait(*lock, [&] {
+      return gone() || c.queue.size() < opts_.send_queue_depth;
+    });
+    obs_queue_stall(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+    if (gone()) return false;
+  }
+  c.queue.push_back(std::move(f));
+  obs_queue_depth(c.queue.size());
+  // A non-empty queue is already being written or waits for POLLOUT.
+  if (lock != nullptr && c.queue.size() == 1) poke();
+  return true;
+}
+
+void TcpNetwork::queue_control(int peer, const char* tag,
+                               const ByteBuffer& payload) {
+  enqueue(peer, OutFrame{encode_frame(local_, peer, tag, payload), {}});
+}
+
+void TcpNetwork::broadcast_control(const char* tag,
+                                   const ByteBuffer& payload) {
+  for (std::size_t w = 1; w <= n_workers_; ++w) {
+    if (alive_[w] && registered_[w]) {
+      queue_control(static_cast<int>(w), tag, payload);
+    }
+  }
+}
+
+void TcpNetwork::serve_pending() {
+  const double now = elapsed_s();
+  for (Conn& p : pending_) {
+    bool keep = now < p.hello_deadline;
+    if (p.reply_then_close) {
+      keep = keep && flush(p) && p.out_blocked;  // hang up once it is out
+    } else if (!read_some(p) || (!p.dec.ready() && !keep)) {
+      MDGAN_LOG_WARN << "TcpNetwork: rejecting connection with bad hello";
+      keep = false;
+    } else if (p.dec.ready()) {
+      const Frame first = p.dec.take();
+      // A `!stats` probe in hello position is not a join: answer with
+      // one snapshot frame and hang up. Any client may dial it anytime.
+      if (first.tag == kTagStats) {
+        p.queue.push_back(OutFrame{stats_frame(), {}});
+        p.reply_then_close = true;
+        keep = flush(p) && p.out_blocked;
+      } else {
+        admit_hello(p, first);  // takes p.fd over on success
+        keep = false;
+      }
+    }
+    if (!keep && p.fd >= 0) ::close(p.fd);
+    if (!keep) p.fd = -1;
+  }
+  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                [](const Conn& p) { return p.fd < 0; }),
+                 pending_.end());
+}
+
+void TcpNetwork::admit_hello(Conn& p, const Frame& hello) {
+  int id = -1;
+  if (hello.tag == kTagHello && hello.payload.size() >= 12) {
+    ByteBuffer payload = ByteBuffer::wrap(hello.payload.data(),
+                                          hello.payload.size());
+    const auto claimed = payload.read_pod<std::uint32_t>();
+    const auto n = payload.read_pod<std::uint64_t>();
+    if (claimed >= 1 && claimed <= n_workers_ && n == n_workers_ &&
+        hello.src == static_cast<int>(claimed)) {
+      id = static_cast<int>(claimed);
+    }
+  }
+  if (id <= 0) {
+    MDGAN_LOG_WARN << "TcpNetwork: rejecting connection with bad hello";
+    return;
+  }
+  const auto wi = static_cast<std::size_t>(id);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (registered_[wi] && alive_[wi]) {
+    lock.unlock();
+    MDGAN_LOG_WARN << "TcpNetwork: rejecting duplicate hello for live "
+                      "worker " << id;
+    return;
+  }
+  // A re-dial from an id whose connection died is a rejoin. It can
+  // overtake the teardown of the dead incarnation.
+  const bool rejoin = registered_[wi];
+  if (conns_[wi].fd >= 0) drop_conn(id);
+  conns_[wi].fd = p.fd;
+  conns_[wi].rx = ConnRxStats{};
+  p.fd = -1;
+  alive_[wi] = true;
+  registered_[wi] = true;
+  liveness_.track(id, elapsed_s());
+  std::uint64_t epoch = epoch_;
+  if (rejoin) {
+    pending_grants_.push_back(id);  // the engine admits at a boundary
+    epoch = ++epoch_;
+    ByteBuffer grant;
+    grant.write_pod<std::uint64_t>(epoch);
+    queue_control(id, kTagRejoin, grant);
+    // The new epoch reaches every live worker, the rejoiner's hello ack
+    // included.
+    broadcast_control(kTagEpoch, encode_epoch_locked());
+  } else {
+    // Hello ack: current epoch + live bitmap, so a late joiner learns
+    // of any deaths that predate it.
+    queue_control(id, kTagEpoch, encode_epoch_locked());
+  }
+  lock.unlock();
+  if (rejoin) {
+    obs_rejoin(id, epoch);
+    obs_membership_epoch(epoch);
+    MDGAN_LOG_INFO << "TcpNetwork: granting rejoin to worker " << id
+                   << " (epoch " << epoch << ")";
+  }
+  cv_.notify_all();
+}
+
+void TcpNetwork::deliver(int peer, Frame&& f) {
+  bool reseated = false;
+  const bool control = is_control_tag(f.tag);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Conn& c = conns_[static_cast<std::size_t>(peer)];
+    c.rx.any = true;
+    c.rx.src = f.src;
+    c.rx.tag = f.tag;
+    ++c.rx.frames;
+    c.rx.at_s = elapsed_s();
+    // Any frame is proof of life: clear suspicion (server side; the
+    // tracker is inert on workers and when heartbeats are off).
+    reseated = liveness_.heard_from(peer, c.rx.at_s);
+    const auto n = static_cast<int>(n_workers_);
+    const bool mine = local_ == kServerId
+                          ? f.src == peer && f.dst == kServerId
+                          : f.dst == local_ && f.src >= 0 && f.src <= n;
+    if (control) {
+      // handle_control runs below, outside mu_
+    } else if (mine) {
+      charge(f.src, local_, f.tag, f.payload.size());
+      ingress_window_ += f.payload.size();
+      Stored s;
+      s.seq = recv_seq_[static_cast<std::size_t>(f.src)]++;
+      s.msg.from = f.src;
+      s.msg.tag = std::move(f.tag);
+      s.msg.payload = std::move(f.payload);
+      s.msg.arrival_s = c.rx.at_s;
+      s.msg.flow = f.ctx.span;
+      mailbox_.push_back(std::move(s));
+      cv_.notify_all();
+    } else if (local_ == kServerId && f.src == peer && f.dst >= 1 &&
+               f.dst <= n && f.dst != peer &&
+               alive_[static_cast<std::size_t>(f.dst)] &&
+               registered_[static_cast<std::size_t>(f.dst)]) {
+      // Relay W->W through the star. Charged on the logical
+      // worker->worker link by payload size, exactly like the simulator
+      // charges a direct send, and stamped with the ORIGINAL sender's
+      // trace context so the merged trace draws one W->W arrow.
+      charge(f.src, f.dst, f.tag, f.payload.size());
+      OutFrame out{encode_frame_head(f.src, f.dst, f.tag, f.payload.size(),
+                                     f.ctx),
+                   SharedBuf::wrap(std::move(f.payload))};
+      // A full destination pauses reading from this worker: TCP then
+      // backpressures its sends, and the loop itself never waits.
+      if (enqueue(f.dst, std::move(out)) &&
+          conns_[static_cast<std::size_t>(f.dst)].queue.size() >=
+              opts_.send_queue_depth) {
+        c.relay_wait = f.dst;
+      }
+    }
+  }
+  if (reseated) {
+    obs_reseat(peer);
+    MDGAN_LOG_INFO << "TcpNetwork: worker " << peer
+                   << " resumed inside the grace window; re-seated "
+                      "(no epoch change)";
+  }
+  if (control) handle_control(peer, f);
 }
 
 namespace {
@@ -393,7 +702,7 @@ const char* peer_state_name(PeerState s) {
 }
 }  // namespace
 
-void TcpNetwork::serve_stats(int fd) {
+std::vector<std::uint8_t> TcpNetwork::stats_frame() {
   obs::Sink* sink = this->sink();
   std::ostringstream os;
   os << "{\"kind\":\"stats\",\"node\":" << local_
@@ -411,11 +720,10 @@ void TcpNetwork::serve_stats(int fd) {
          << (alive_[w] ? "true" : "false") << ",\"registered\":"
          << (registered_[w] ? "true" : "false") << ",\"liveness\":\""
          << peer_state_name(liveness_.state(static_cast<int>(w))) << '"';
-      const Conn* c = conns_[w].get();
-      if (c != nullptr && c->rx.any) {
-        os << ",\"last_rx_tag\":\"" << c->rx.tag
-           << "\",\"last_rx_s\":" << c->rx.at_s
-           << ",\"rx_frames\":" << c->rx.frames;
+      const ConnRxStats& rx = conns_[w].rx;
+      if (rx.any) {
+        os << ",\"last_rx_tag\":\"" << rx.tag << "\",\"last_rx_s\":" << rx.at_s
+           << ",\"rx_frames\":" << rx.frames;
       }
       os << '}';
     }
@@ -435,69 +743,18 @@ void TcpNetwork::serve_stats(int fd) {
   ByteBuffer payload;
   payload.append_raw(reinterpret_cast<const std::uint8_t*>(snap.data()),
                      snap.size());
-  const auto wire = encode_frame(local_, local_, kTagStats, payload);
-  write_exact(fd, wire.data(), wire.size());
-}
-
-void TcpNetwork::pump_control() {
-  // Heartbeats and the liveness timer run every pump cycle; the
-  // broadcast work below short-circuits when nothing is queued.
-  pump_heartbeats();
-  std::vector<int> deaths;
-  std::uint64_t epoch = 0;
-  ByteBuffer epoch_payload;
-  std::vector<std::pair<int, Conn*>> targets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pending_deaths_.empty() && !epoch_dirty_) {
-      return;
-    }
-    deaths.swap(pending_deaths_);
-    epoch_dirty_ = false;
-    epoch = epoch_;
-    epoch_payload = encode_epoch_locked();
-    for (std::size_t w = 1; w <= n_workers_; ++w) {
-      if (alive_[w] && registered_[w] && conns_[w] != nullptr) {
-        targets.emplace_back(static_cast<int>(w), conns_[w].get());
-      }
-    }
-  }
-  // Writes happen outside mu_ (they can block); conn replacement only
-  // happens on this same thread, so the Conn*s cannot go stale here. A
-  // failed write marks that peer dead, queueing the next pump round.
-  for (auto [w, conn] : targets) {
-    bool ok = true;
-    for (int dead : deaths) {
-      ByteBuffer p;
-      p.write_pod<std::uint32_t>(static_cast<std::uint32_t>(dead));
-      p.write_pod<std::uint64_t>(epoch);
-      if (!write_frame(*conn, w, kServerId, w, kTagDeath, p)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) write_frame(*conn, w, kServerId, w, kTagEpoch, epoch_payload);
-  }
+  return encode_frame(local_, local_, kTagStats, payload);
 }
 
 void TcpNetwork::pump_heartbeats() {
   if (local_ != kServerId || !liveness_.config().enabled()) return;
   const double now = elapsed_s();
+  if (now - last_ping_s_ < liveness_.config().heartbeat_interval_s) return;
+  last_ping_s_ = now;
   std::vector<LivenessTracker::Transition> transitions;
-  std::vector<std::pair<int, Conn*>> targets;
-  bool ping_due = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     transitions = liveness_.advance(now);
-    ping_due = now - last_ping_s_ >= liveness_.config().heartbeat_interval_s;
-    if (ping_due) {
-      last_ping_s_ = now;
-      for (std::size_t w = 1; w <= n_workers_; ++w) {
-        if (alive_[w] && registered_[w] && conns_[w] != nullptr) {
-          targets.emplace_back(static_cast<int>(w), conns_[w].get());
-        }
-      }
-    }
     for (const auto& t : transitions) {
       if (t.to == PeerState::kSuspect) ++suspect_count_;
     }
@@ -514,12 +771,9 @@ void TcpNetwork::pump_heartbeats() {
       obs_grace_death(t.worker);
       MDGAN_LOG_WARN << "TcpNetwork: worker " << t.worker
                      << " silent past the grace window; declaring it dead";
-      // The normal eviction path: severs the conn, queues the !death
-      // fan-out for the next pump cycle.
-      mark_dead(t.worker);
+      mark_dead(t.worker);  // the normal eviction path
     }
   }
-  if (!ping_due) return;
   ByteBuffer ping;
   ping.write_pod<std::uint64_t>(ping_seq_++);
   ping.write_pod<double>(now);
@@ -528,60 +782,8 @@ void TcpNetwork::pump_heartbeats() {
   // midpoint. -1 = no tracer attached here, nothing to align against.
   obs::Tracer* tracer = obs_tracer();
   ping.write_pod<std::int64_t>(tracer != nullptr ? tracer->now_ns() : -1);
-  for (auto [w, conn] : targets) {
-    write_frame(*conn, w, kServerId, w, kTagPing, ping);
-  }
-}
-
-void TcpNetwork::grant_rejoin(int id, int fd) {
-  const auto wi = static_cast<std::size_t>(id);
-  // Retire the dead incarnation first: flag its writer dead (frames
-  // still queued to the old incarnation drop — the peer restarted; its
-  // new life must not replay them), sever its fd, join both threads,
-  // then close the fd under its own write_mu — the lock acquisition is
-  // the barrier that drains any straggling producer before the fd
-  // number can be reused. The Conn object itself is parked in retired_,
-  // never destroyed until close_all, so a sender still holding the old
-  // Conn* fails on the dead flag instead of touching freed memory.
-  std::unique_ptr<Conn> old;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    old = std::move(conns_[wi]);
-  }
-  if (old) {
-    retire_conn_threads(*old, /*flush=*/false);
-    std::lock_guard<std::mutex> wlock(old->write_mu);
-    if (old->fd >= 0) ::close(old->fd);
-    old->fd = -1;
-  }
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  Conn* raw = conn.get();
-  std::uint64_t epoch = 0;
-  ByteBuffer epoch_payload;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (old) retired_.push_back(std::move(old));
-    conns_[wi] = std::move(conn);
-    alive_[wi] = true;
-    registered_[wi] = true;
-    liveness_.track(id, elapsed_s());
-    pending_grants_.push_back(id);  // the engine admits at a boundary
-    epoch = ++epoch_;
-    epoch_dirty_ = true;  // the pump tells everyone else
-    epoch_payload = encode_epoch_locked();
-  }
-  obs_rejoin(id, epoch);
-  obs_membership_epoch(epoch);
-  MDGAN_LOG_INFO << "TcpNetwork: granting rejoin to worker " << id
-                 << " (epoch " << epoch << ")";
-  conns_[wi]->reader = std::thread([this, id, raw] { reader_loop(id, raw); });
-  spawn_writer(id, raw);
-  ByteBuffer grant;
-  grant.write_pod<std::uint64_t>(epoch);
-  write_frame(*raw, id, kServerId, id, kTagRejoin, grant);
-  write_frame(*raw, id, kServerId, id, kTagEpoch, epoch_payload);
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  broadcast_control(kTagPing, ping);
 }
 
 void TcpNetwork::handle_control(int peer, const Frame& f) {
@@ -593,7 +795,7 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
                                           f.payload.size());
     if (local_ == kServerId) {
       // Server side: the only worker->server control frame is the
-      // heartbeat echo. The reader loop already fed the tracker; here
+      // heartbeat echo. deliver() already fed the tracker; here
       // we only recover the RTT. A pong with a garbage payload or a
       // mismatched source is dropped like any malformed control frame.
       if (f.tag == kTagPong && f.src == peer) {
@@ -622,22 +824,15 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
     if (f.tag == kTagPing) {
       // Echo the payload verbatim (appending our trace-clock stamp when
       // the ping carries the server's); the server computes the RTT.
-      Conn* conn = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        conn = conns_[kServerId].get();
+      ByteBuffer echo;
+      echo.append_raw(f.payload.data(), f.payload.size());
+      if (f.payload.size() >= 24) {  // u64 + f64 + i64: stamped ping
+        obs::Tracer* tracer = obs_tracer();
+        echo.write_pod<std::int64_t>(tracer != nullptr ? tracer->now_ns()
+                                                       : -1);
       }
-      if (conn != nullptr) {
-        ByteBuffer echo;
-        echo.append_raw(f.payload.data(), f.payload.size());
-        if (f.payload.size() >= 24) {  // u64 + f64 + i64: stamped ping
-          obs::Tracer* tracer = obs_tracer();
-          echo.write_pod<std::int64_t>(tracer != nullptr ? tracer->now_ns()
-                                                         : -1);
-        }
-        write_frame(*conn, kServerId, local_, kServerId, kTagPong,
-                    SharedBuf::wrap(std::move(echo)));
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_control(kServerId, kTagPong, echo);
     } else if (f.tag == kTagState) {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -645,7 +840,6 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
       }
       MDGAN_LOG_INFO << "TcpNetwork: rejoin state received ("
                      << f.payload.size() << " bytes)";
-      cv_.notify_all();
     } else if (f.tag == kTagAdmit) {
       const auto w = payload.read_pod<std::uint32_t>();
       const auto round = payload.read_pod<std::int64_t>();
@@ -666,7 +860,6 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
       MDGAN_LOG_INFO << "TcpNetwork: worker " << w
                      << " re-admitted at round " << round << " (epoch "
                      << epoch << ")";
-      cv_.notify_all();
     } else if (f.tag == kTagDeath) {
       const auto w = payload.read_pod<std::uint32_t>();
       const auto epoch = payload.read_pod<std::uint64_t>();
@@ -690,7 +883,6 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
                          << "); mapping peer to fail-stop";
         }
       }
-      cv_.notify_all();
     } else if (f.tag == kTagEpoch) {
       const auto epoch = payload.read_pod<std::uint64_t>();
       const auto n = payload.read_pod<std::uint32_t>();
@@ -712,7 +904,6 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
         pub = epoch_;
       }
       obs_membership_epoch(pub);
-      cv_.notify_all();
     } else if (f.tag == kTagRejoin) {
       const auto epoch = payload.read_pod<std::uint64_t>();
       std::uint64_t pub = 0;
@@ -724,11 +915,11 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
       obs_rejoin(local_, epoch);
       obs_membership_epoch(pub);
       MDGAN_LOG_INFO << "TcpNetwork: rejoin granted under epoch " << epoch;
-      cv_.notify_all();
     }
     // Unknown '!' tags are ignored: forward compatibility.
   } catch (const std::exception&) {
   }
+  cv_.notify_all();  // waiters re-check membership, grants, state
 }
 
 ByteBuffer TcpNetwork::encode_epoch_locked() const {
@@ -752,20 +943,16 @@ bool TcpNetwork::wait_ready() {
     });
     return hello_acked_ && !closing_.load();
   }
-  cv_.wait_until(lock, rendezvous_deadline_, [&] {
-    if (closing_.load()) return true;
-    for (std::size_t w = 1; w <= n_workers_; ++w) {
-      if (!registered_[w]) return false;
-    }
-    return true;
-  });
+  cv_.wait_until(lock, rendezvous_deadline_,
+                 [&] { return closing_.load() || all_registered(); });
   // Tearing down is not readiness, even if every worker had registered:
   // the caller must not proceed into send() on a closing endpoint.
-  if (closing_.load()) return false;
-  for (std::size_t w = 1; w <= n_workers_; ++w) {
-    if (!registered_[w]) return false;
-  }
-  return true;
+  return !closing_.load() && all_registered();
+}
+
+bool TcpNetwork::all_registered() const {
+  return std::all_of(registered_.begin() + 1, registered_.end(),
+                     [](bool r) { return r; });
 }
 
 void TcpNetwork::check_node(int node) const {
@@ -801,38 +988,34 @@ void TcpNetwork::charge(int src, int dst, const std::string& tag,
   obs_charge(kind, tag, bytes);
 }
 
-void TcpNetwork::mark_dead(int peer, const Conn* expect) {
+void TcpNetwork::mark_dead(int peer) {
   ConnRxStats rx;
   std::size_t inflight_msgs = 0, inflight_bytes = 0;
   std::uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto pi = static_cast<std::size_t>(peer);
-    if (expect != nullptr && conns_[pi].get() != expect) {
-      return;  // a retired incarnation failed; the live one is fine
-    }
     if (!alive_[pi]) return;
     alive_[pi] = false;
     liveness_.mark_dead(peer);
     epoch = ++epoch_;
-    Conn* conn = conns_[pi].get();
-    if (conn != nullptr) {
-      rx = conn->rx;
-      // Sever under mu_: the fd cannot be concurrently closed-and-reused
-      // here, because every close path first takes mu_ to unlink the
-      // conn from its slot.
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
+    Conn& conn = conns_[pi];
+    rx = conn.rx;
+    // Sever now; the loop closes the fd (only it ever does, under mu_,
+    // so the number cannot be reused here) and drops the queue.
+    if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
     for (const auto& s : mailbox_) {
       ++inflight_msgs;
       inflight_bytes += s.msg.payload.size();
     }
     if (local_ == kServerId) {
-      // Broadcasting from here could deadlock (the caller may hold some
-      // connection's write_mu); queue the notice for the acceptor-thread
-      // control pump instead.
-      pending_deaths_.push_back(peer);
-      epoch_dirty_ = true;
+      // Survivors map the victim onto fail-stop without ever having
+      // exchanged a byte with it.
+      ByteBuffer death;
+      death.write_pod<std::uint32_t>(static_cast<std::uint32_t>(peer));
+      death.write_pod<std::uint64_t>(epoch);
+      broadcast_control(kTagDeath, death);
+      broadcast_control(kTagEpoch, encode_epoch_locked());
     }
   }
   obs_peer_death(peer, elapsed_s());
@@ -855,208 +1038,7 @@ void TcpNetwork::mark_dead(int peer, const Conn* expect) {
          << " payload byte(s) in flight in the local mailbox";
   }
   cv_.notify_all();
-}
-
-bool TcpNetwork::write_frame(Conn& conn, int peer, int src, int dst,
-                             const std::string& tag, SharedBuf&& payload,
-                             const TraceCtx& ctx) {
-  OutFrame f;
-  f.head = encode_frame_head(src, dst, tag, payload.size(), ctx);
-  f.body = std::move(payload);
-  std::unique_lock<std::mutex> lock(conn.write_mu);
-  if (conn.fd < 0 || conn.dead || conn.stop) {
-    lock.unlock();
-    mark_dead(peer, &conn);
-    return false;
-  }
-  if (conn.queue.size() >= opts_.send_queue_depth) {
-    // Backpressure: the producer blocks until the writer frees a slot
-    // or the connection dies (a dead peer's queue is dropped, so this
-    // wait never outlives the peer).
-    const auto t0 = std::chrono::steady_clock::now();
-    conn.write_cv.wait(lock, [&] {
-      return conn.dead || conn.stop ||
-             conn.queue.size() < opts_.send_queue_depth;
-    });
-    obs_queue_stall(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-    if (conn.dead || conn.stop) {
-      lock.unlock();
-      mark_dead(peer, &conn);
-      return false;
-    }
-  }
-  conn.queue.push_back(std::move(f));
-  obs_queue_depth(conn.queue.size());
-  conn.write_cv.notify_all();
-  return true;
-}
-
-bool TcpNetwork::write_frame(Conn& conn, int peer, int src, int dst,
-                             const std::string& tag,
-                             const ByteBuffer& payload,
-                             const TraceCtx& ctx) {
-  // The queue owns its payloads; copy the (small, reused) control
-  // buffer into a fresh segment.
-  return write_frame(conn, peer, src, dst, tag,
-                     SharedBuf::wrap(ByteBuffer(payload)), ctx);
-}
-
-void TcpNetwork::spawn_writer(int peer, Conn* conn) {
-  conn->writer = std::thread([this, peer, conn] { writer_loop(peer, conn); });
-}
-
-void TcpNetwork::writer_loop(int peer, Conn* conn) {
-  std::unique_lock<std::mutex> lock(conn->write_mu);
-  for (;;) {
-    conn->write_cv.wait(lock, [&] {
-      return conn->stop || conn->dead || !conn->queue.empty();
-    });
-    if (conn->dead) break;
-    if (conn->queue.empty()) {
-      if (conn->stop) break;  // flushed: nothing queued, close requested
-      continue;
-    }
-    OutFrame f = std::move(conn->queue.front());
-    conn->queue.pop_front();
-    conn->inflight = true;
-    const int fd = conn->fd;
-    conn->write_cv.notify_all();  // a producer may be waiting for space
-    lock.unlock();
-    const bool ok = fd >= 0 && write_out(fd, f.head, f.body);
-    lock.lock();
-    conn->inflight = false;
-    if (!ok) {
-      conn->dead = true;
-      conn->write_cv.notify_all();
-      lock.unlock();
-      mark_dead(peer, conn);
-      lock.lock();
-      break;
-    }
-    conn->write_cv.notify_all();  // close_all's flush linger watches this
-  }
-  // Exit drain: whatever is still queued will never reach the wire.
-  // Count it into the flight recorder (the post-mortem's "what was lost
-  // on the epoch bump") and free any producer blocked on a full queue.
-  std::uint64_t frames = 0, bytes = 0;
-  for (const auto& q : conn->queue) {
-    ++frames;
-    bytes += q.head.size() + q.body.size();
-  }
-  conn->queue.clear();
-  conn->write_cv.notify_all();
-  const bool was_dead = conn->dead;
-  lock.unlock();
-  if (frames > 0 && was_dead) {
-    obs_writer_drop(peer, frames, bytes);
-    if (!closing_.load()) {
-      MDGAN_LOG_WARN << "TcpNetwork: dropped " << frames
-                     << " queued frame(s) (" << bytes
-                     << " bytes) to dead peer " << peer;
-    }
-  }
-}
-
-void TcpNetwork::retire_conn_threads(Conn& conn, bool flush) {
-  {
-    std::unique_lock<std::mutex> lock(conn.write_mu);
-    if (flush) {
-      // Bounded linger so already-accepted frames (a final feedback, a
-      // control ack) reach the wire before the fd is severed.
-      conn.write_cv.wait_for(lock, std::chrono::seconds(5), [&] {
-        return conn.dead || (conn.queue.empty() && !conn.inflight);
-      });
-    } else {
-      conn.dead = true;  // no flush: the peer is gone, drop the queue
-    }
-    conn.stop = true;
-    conn.write_cv.notify_all();
-  }
-  // Sever before joining: a writer blocked in sendmsg (peer not
-  // reading) or a reader blocked in read only returns once the socket
-  // is shut down.
-  if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
-  if (conn.writer.joinable()) conn.writer.join();
-  if (conn.reader.joinable()) conn.reader.join();
-}
-
-void TcpNetwork::enqueue_local(int src, const std::string& tag,
-                               ByteBuffer&& payload, std::uint64_t flow) {
-  std::lock_guard<std::mutex> lock(mu_);
-  charge(src, local_, tag, payload.size());
-  ingress_window_ += payload.size();
-  Stored s;
-  s.seq = recv_seq_[static_cast<std::size_t>(src)]++;
-  s.msg.from = src;
-  s.msg.tag = tag;
-  s.msg.payload = std::move(payload);
-  s.msg.arrival_s = elapsed_s();
-  s.msg.flow = flow;
-  mailbox_.push_back(std::move(s));
-  cv_.notify_all();
-}
-
-void TcpNetwork::reader_loop(int peer, Conn* conn) {
-  Frame f;
-  while (!closing_.load() && read_frame(conn->fd, f)) {
-    bool reseated = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      conn->rx.any = true;
-      conn->rx.src = f.src;
-      conn->rx.tag = f.tag;
-      ++conn->rx.frames;
-      conn->rx.at_s = elapsed_s();
-      // Any frame is proof of life: clear suspicion (server side; the
-      // tracker is inert on workers and when heartbeats are off).
-      reseated = liveness_.heard_from(peer, elapsed_s());
-    }
-    if (reseated) {
-      obs_reseat(peer);
-      MDGAN_LOG_INFO << "TcpNetwork: worker " << peer
-                     << " resumed inside the grace window; re-seated "
-                        "(no epoch change)";
-    }
-    if (is_control_tag(f.tag)) {
-      handle_control(peer, f);
-      continue;
-    }
-    if (local_ == kServerId) {
-      if (f.src != peer) continue;  // a worker may only speak as itself
-      if (f.dst == kServerId) {
-        enqueue_local(f.src, f.tag, std::move(f.payload), f.ctx.span);
-      } else if (f.dst >= 1 && f.dst <= static_cast<int>(n_workers_) &&
-                 f.dst != peer) {
-        // Relay W->W through the star. Charged on the logical
-        // worker->worker link by payload size, exactly like the
-        // simulator charges a direct send.
-        Conn* dst_conn = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (alive_[static_cast<std::size_t>(f.dst)] &&
-              registered_[static_cast<std::size_t>(f.dst)]) {
-            dst_conn = conns_[static_cast<std::size_t>(f.dst)].get();
-            charge(f.src, f.dst, f.tag, f.payload.size());
-          }
-        }
-        if (dst_conn != nullptr) {
-          // Preserve the ORIGINAL sender's trace context across the
-          // relay so the merged trace draws one W->W arrow, not a
-          // W->S->W pair with a broken middle. Moving the payload is
-          // safe: read_frame fills it fresh on the next frame.
-          write_frame(*dst_conn, f.dst, f.src, f.dst, f.tag,
-                      SharedBuf::wrap(std::move(f.payload)), f.ctx);
-        }
-      }
-    } else {
-      if (f.dst == local_) {
-        enqueue_local(f.src, f.tag, std::move(f.payload), f.ctx.span);
-      }
-    }
-  }
-  mark_dead(peer, conn);
+  poke();  // the loop drops the queue and flushes the notices
 }
 
 void TcpNetwork::begin_iteration(std::int64_t /*iter*/) {
@@ -1082,35 +1064,25 @@ void TcpNetwork::send(int from, int to, const std::string& tag,
                                 "transport control frames");
   }
 
+  const auto ti = static_cast<std::size_t>(to);
   int route = to;  // which connection carries the frame
-  Conn* conn = nullptr;
-  std::uint32_t flow_seq = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   if (local_ == kServerId) {
     // Wait out the rendezvous if this worker has not dialed in yet.
-    std::unique_lock<std::mutex> lock(mu_);
     const bool up = cv_.wait_until(lock, rendezvous_deadline_, [&] {
-      return closing_.load() || registered_[static_cast<std::size_t>(to)] ||
-             !alive_[static_cast<std::size_t>(to)];
+      return closing_.load() || registered_[ti] || !alive_[ti];
     });
-    if (closing_.load()) return;
-    if (!alive_[static_cast<std::size_t>(to)]) return;  // fail-stop drop
-    if (!up || !registered_[static_cast<std::size_t>(to)]) {
+    if (closing_.load() || !alive_[ti]) return;  // fail-stop drop
+    if (!up || !registered_[ti]) {
       throw std::runtime_error("TcpNetwork: worker " + std::to_string(to) +
                                " never joined the rendezvous");
     }
-    conn = conns_[static_cast<std::size_t>(to)].get();
-    flow_seq = ++flow_seq_[static_cast<std::size_t>(to)];
   } else {
     route = kServerId;  // star topology: everything goes via the server
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!alive_[kServerId] || !alive_[static_cast<std::size_t>(to)]) {
+    if (!alive_[kServerId] || !alive_[ti]) {
       return;  // fail-stop: a dead endpoint moves no bytes
     }
-    conn = conns_[kServerId].get();
-    flow_seq = ++flow_seq_[static_cast<std::size_t>(to)];
   }
-
-  if (conn == nullptr) return;
   // Refcount dividend: payload bytes whose segment is shared with
   // another recipient's frame were serialized once, not per worker.
   obs_broadcast_saved(payload.shared_bytes());
@@ -1124,49 +1096,45 @@ void TcpNetwork::send(int from, int to, const std::string& tag,
   // order on one link is sequence order (same rule as the simulator).
   TraceCtx ctx;
   ctx.node = static_cast<std::uint32_t>(local_);
-  ctx.seq = flow_seq;
-  ctx.span = flow_id(local_, to, flow_seq);
-  if (!write_frame(*conn, route, local_, to, tag, std::move(payload), ctx)) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    charge(local_, to, tag, n_bytes);
-  }
+  ctx.seq = ++flow_seq_[ti];
+  ctx.span = flow_id(local_, to, ctx.seq);
+  OutFrame f{encode_frame_head(local_, to, tag, n_bytes, ctx),
+             std::move(payload)};
+  if (!enqueue(route, std::move(f), &lock)) return;
+  charge(local_, to, tag, n_bytes);
+  lock.unlock();
   if (tracer != nullptr) {
-    obs::TraceEvent ev;
-    std::snprintf(ev.name, obs::TraceEvent::kNameCap, "send:%s", tag.c_str());
-    ev.cat = obs::Cat::kNet;
-    ev.node = local_;
-    ev.wall_t0_ns = wall_t0;
-    ev.wall_dur_ns = tracer->now_ns() - wall_t0;
-    ev.sim_t0 = sim_t0;
-    ev.sim_t1 = elapsed_s();
-    ev.bytes = n_bytes;
-    ev.flow = ctx.span;
-    tracer->emit(ev);
+    emit_net_span(*tracer, local_, "send", tag, wall_t0, sim_t0, elapsed_s(),
+                  n_bytes, ctx.span);
   }
+}
+
+std::optional<Message> TcpNetwork::pop_locked(const std::string& tag) {
+  auto best = mailbox_.end();
+  for (auto it = mailbox_.begin(); it != mailbox_.end(); ++it) {
+    if (it->msg.tag != tag) continue;
+    if (best == mailbox_.end() || it->msg.from < best->msg.from ||
+        (it->msg.from == best->msg.from && it->seq < best->seq)) {
+      best = it;
+    }
+  }
+  if (best == mailbox_.end()) return std::nullopt;
+  Message out = std::move(best->msg);
+  mailbox_.erase(best);
+  return out;
 }
 
 std::optional<Message> TcpNetwork::receive_tagged(int node,
                                                   const std::string& tag) {
   check_local(node, "receive_tagged");
+  obs::Tracer* tracer = obs_tracer();
+  const std::int64_t wall_t0 = tracer != nullptr ? tracer->now_ns() : 0;
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = opts_.receive_timeout_s > 0.0
+                            ? after(opts_.receive_timeout_s)
+                            : Clock::time_point::max();
+  auto churn_until = Clock::time_point::max();
   std::unique_lock<std::mutex> lock(mu_);
-  auto find_best = [&] {
-    auto best = mailbox_.end();
-    for (auto it = mailbox_.begin(); it != mailbox_.end(); ++it) {
-      if (it->msg.tag != tag) continue;
-      if (best == mailbox_.end() || it->msg.from < best->msg.from ||
-          (it->msg.from == best->msg.from && it->seq < best->seq)) {
-        best = it;
-      }
-    }
-    return best;
-  };
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(opts_.receive_timeout_s));
   // True when nothing can ever arrive anymore: on a worker endpoint
   // every frame comes via the server; on the server, from the workers.
   auto peers_gone = [&] {
@@ -1176,52 +1144,33 @@ std::optional<Message> TcpNetwork::receive_tagged(int node,
     }
     return true;
   };
-  obs::Tracer* tracer = obs_tracer();
-  const std::int64_t wall_t0 = tracer != nullptr ? tracer->now_ns() : 0;
   const std::uint64_t epoch0 = epoch_;
-  bool timed_out = false;
-  for (;;) {
-    if (!alive_[static_cast<std::size_t>(local_)]) return std::nullopt;
-    auto best = find_best();
-    if (best != mailbox_.end()) {
-      Message out = std::move(best->msg);
-      mailbox_.erase(best);
-      if (tracer != nullptr) {
-        lock.unlock();  // never trace while holding mu_
-        obs::TraceEvent ev;
-        std::snprintf(ev.name, obs::TraceEvent::kNameCap, "recv:%s",
-                      tag.c_str());
-        ev.cat = obs::Cat::kNet;
-        ev.node = local_;
-        ev.wall_t0_ns = wall_t0;
-        ev.wall_dur_ns = tracer->now_ns() - wall_t0;
-        ev.sim_t0 = out.arrival_s;
-        ev.sim_t1 = elapsed_s();
-        ev.bytes = out.payload.size();
-        ev.flow = out.flow;
-        tracer->emit(ev);
-      }
-      return out;
-    }
+  std::optional<Message> out;
+  while (alive_[static_cast<std::size_t>(local_)] && !(out = pop_locked(tag))) {
     if (closing_.load() || peers_gone()) return std::nullopt;
     // Membership moved while we were blocked: wake the caller with
     // nullopt so it can re-check which senders it still expects
     // (mid-round degrade) instead of waiting out the full timeout on a
-    // peer that is already gone.
-    if (epoch_ != epoch0) return std::nullopt;
-    // The deadline expired on a previous wait, and the scan above just
-    // re-ran: only a still-empty mailbox is a real timeout. A frame that
-    // slipped in between the last scan and the deadline is returned, not
-    // dropped on the floor.
-    if (timed_out) return std::nullopt;
-    // Block: the sender runs in another process. nullopt only on
-    // timeout, an epoch bump, or a dead cluster.
-    if (opts_.receive_timeout_s <= 0.0) {
-      cv_.wait(lock);
-    } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      timed_out = true;
+    // peer that is already gone. After a short grace, though: a frame
+    // the server sent just after it learned of the change queues behind
+    // the change notice (per-connection FIFO) and still completes this
+    // receive.
+    const auto now = Clock::now();
+    if (epoch_ != epoch0 && churn_until == Clock::time_point::max()) {
+      churn_until = now + std::chrono::milliseconds(100);
     }
+    // The scan above re-ran after the last wait, so a frame that slipped
+    // in before the deadline is returned, not dropped on the floor.
+    const auto until = std::min(deadline, churn_until);
+    if (now >= until) return std::nullopt;
+    cv_.wait_until(lock, until);
   }
+  lock.unlock();  // never trace while holding mu_
+  if (out && tracer != nullptr) {
+    emit_net_span(*tracer, local_, "recv", tag, wall_t0, out->arrival_s,
+                  elapsed_s(), out->payload.size(), out->flow);
+  }
+  return out;
 }
 
 std::optional<Message> TcpNetwork::try_receive_tagged(int node,
@@ -1229,33 +1178,12 @@ std::optional<Message> TcpNetwork::try_receive_tagged(int node,
   check_local(node, "try_receive_tagged");
   obs::Tracer* tracer = obs_tracer();
   const std::int64_t wall_t0 = tracer != nullptr ? tracer->now_ns() : 0;
-  std::optional<Message> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto best = mailbox_.end();
-    for (auto it = mailbox_.begin(); it != mailbox_.end(); ++it) {
-      if (it->msg.tag != tag) continue;
-      if (best == mailbox_.end() || it->msg.from < best->msg.from ||
-          (it->msg.from == best->msg.from && it->seq < best->seq)) {
-        best = it;
-      }
-    }
-    if (best == mailbox_.end()) return std::nullopt;
-    out = std::move(best->msg);
-    mailbox_.erase(best);
-  }
-  if (tracer != nullptr) {
-    obs::TraceEvent ev;
-    std::snprintf(ev.name, obs::TraceEvent::kNameCap, "recv:%s", tag.c_str());
-    ev.cat = obs::Cat::kNet;
-    ev.node = local_;
-    ev.wall_t0_ns = wall_t0;
-    ev.wall_dur_ns = tracer->now_ns() - wall_t0;
-    ev.sim_t0 = out->arrival_s;
-    ev.sim_t1 = elapsed_s();
-    ev.bytes = out->payload.size();
-    ev.flow = out->flow;
-    tracer->emit(ev);
+  std::unique_lock<std::mutex> lock(mu_);
+  std::optional<Message> out = pop_locked(tag);
+  lock.unlock();
+  if (out && tracer != nullptr) {
+    emit_net_span(*tracer, local_, "recv", tag, wall_t0, out->arrival_s,
+                  elapsed_s(), out->payload.size(), out->flow);
   }
   return out;
 }
@@ -1328,12 +1256,7 @@ std::vector<int> TcpNetwork::alive_workers() const {
 }
 
 std::size_t TcpNetwork::alive_worker_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (std::size_t w = 1; w <= n_workers_; ++w) {
-    if (alive_[w]) ++n;
-  }
-  return n;
+  return alive_workers().size();
 }
 
 std::uint64_t TcpNetwork::membership_epoch() const {
@@ -1348,10 +1271,7 @@ bool TcpNetwork::rejoin_granted() const {
 
 bool TcpNetwork::wait_membership_epoch(std::uint64_t at_least,
                                        double timeout_s) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  const auto deadline = after(timeout_s);
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_until(lock, deadline,
                  [&] { return closing_.load() || epoch_ >= at_least; });
@@ -1361,8 +1281,7 @@ bool TcpNetwork::wait_membership_epoch(std::uint64_t at_least,
 TcpNetwork::ConnRxStats TcpNetwork::last_rx_of(int peer) const {
   check_node(peer);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto* conn = conns_[static_cast<std::size_t>(peer)].get();
-  return conn != nullptr ? conn->rx : ConnRxStats{};
+  return conns_[static_cast<std::size_t>(peer)].rx;
 }
 
 std::vector<int> TcpNetwork::take_rejoin_grants() {
@@ -1383,37 +1302,27 @@ void TcpNetwork::announce_admission(int worker, std::int64_t round) {
   check_node(worker);
   if (local_ != kServerId) return;  // only the server admits
   // The caller is the ENGINE thread, and `round` is strictly in the
-  // future of the round it is currently processing: writing the !admit
+  // future of the round it is currently processing: queueing the !admit
   // here — before that round's data frames go out on the same
   // connections — is what pins the admission round across roles. A
   // survivor must consume its round-R data frames before it can reach
   // its round-R+1 membership boundary, so per-connection FIFO puts the
   // !admit in its hands no later than that boundary, i.e. at or before
-  // the admission round itself. The async acceptor pump gives no such
-  // guarantee, which is why this broadcast does not go through it.
-  std::uint64_t epoch = 0;
-  std::vector<std::pair<int, Conn*>> targets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch = epoch_;
-    for (std::size_t w = 1; w <= n_workers_; ++w) {
-      if (alive_[w] && registered_[w] && conns_[w] != nullptr) {
-        targets.emplace_back(static_cast<int>(w), conns_[w].get());
-      }
-    }
-  }
-  // Writes outside mu_ (they can block). A Conn* can only be replaced
-  // by the acceptor's grant_rejoin, which parks the old conn in
-  // retired_ with fd -1: a straggling write fails harmlessly and the
-  // identity-checked mark_dead spares the fresh incarnation — the same
-  // contract the data-plane send() relies on.
+  // the admission round itself.
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::uint64_t epoch = epoch_;
   ByteBuffer p;
   p.write_pod<std::uint32_t>(static_cast<std::uint32_t>(worker));
   p.write_pod<std::int64_t>(round);
   p.write_pod<std::uint64_t>(epoch);
-  for (auto [w, conn] : targets) {
-    write_frame(*conn, w, kServerId, w, kTagAdmit, p);
+  for (std::size_t w = 1; w <= n_workers_; ++w) {
+    if (alive_[w] && registered_[w]) {
+      const auto wi = static_cast<int>(w);
+      enqueue(wi, OutFrame{encode_frame(local_, wi, kTagAdmit, p), {}},
+              &lock);
+    }
   }
+  lock.unlock();
   MDGAN_LOG_INFO << "TcpNetwork: announced admission of worker " << worker
                  << " at round " << round << " (epoch " << epoch << ")";
 }
@@ -1424,18 +1333,16 @@ void TcpNetwork::ship_rejoin_state(int worker, ByteBuffer&& state) {
   // Also engine-thread: the rejoiner receives !state before the
   // admission round's data frames on its (fresh) connection, so it can
   // adopt the transferred generator before the first batch lands.
-  Conn* conn = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (alive_[static_cast<std::size_t>(worker)] &&
-        registered_[static_cast<std::size_t>(worker)]) {
-      conn = conns_[static_cast<std::size_t>(worker)].get();
-    }
-  }
   const std::size_t state_bytes = state.size();
-  if (conn != nullptr) {
-    write_frame(*conn, worker, kServerId, worker, kTagState,
-                SharedBuf::wrap(std::move(state)));
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (registered_[static_cast<std::size_t>(worker)]) {
+      enqueue(worker,
+              OutFrame{encode_frame_head(local_, worker, kTagState,
+                                         state_bytes),
+                       SharedBuf::wrap(std::move(state))},
+              &lock);
+    }
   }
   obs_rejoin_admitted(worker, static_cast<std::int64_t>(state_bytes));
   MDGAN_LOG_INFO << "TcpNetwork: shipped rejoin state to worker " << worker
@@ -1444,10 +1351,7 @@ void TcpNetwork::ship_rejoin_state(int worker, ByteBuffer&& state) {
 
 bool TcpNetwork::await_alive(int node, double timeout_s) {
   check_node(node);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  const auto deadline = after(timeout_s);
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_until(lock, deadline, [&] {
     return closing_.load() || alive_[static_cast<std::size_t>(node)];
@@ -1456,10 +1360,7 @@ bool TcpNetwork::await_alive(int node, double timeout_s) {
 }
 
 std::optional<ByteBuffer> TcpNetwork::wait_rejoin_state(double timeout_s) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
+  const auto deadline = after(timeout_s);
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_until(lock, deadline, [&] {
     return closing_.load() || rejoin_state_.has_value();
@@ -1532,5 +1433,6 @@ std::optional<std::string> fetch_stats(const std::string& host,
   ::close(fd);
   return out;
 }
+
 
 }  // namespace mdgan::dist

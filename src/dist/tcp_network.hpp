@@ -13,11 +13,23 @@
 // W->W link, exactly like SimNetwork charges them; transport framing
 // overhead and control frames are never charged.
 //
+// Threads: each endpoint runs exactly ONE I/O thread, a poll(2) loop
+// over every socket it owns — the listen fd (server), each worker
+// connection, each accepted socket still owed its hello — plus one
+// eventfd producers poke. Sends never touch a socket: they append the
+// frame to the connection's bounded FIFO queue, and the loop writes
+// queued frames (head plus payload segments as sendmsg iovecs, never
+// copied) and cuts arriving bytes into frames with a FrameDecoder. The
+// loop never blocks: a hello is owed within a per-socket deadline, so a
+// dialer that connects and says nothing stalls neither the rendezvous
+// nor the control plane; a W->W relay into a full queue pauses reading
+// from the sending worker until the destination drains.
+//
 // Ordering: each endpoint feeds arriving frames into the same
 // (sender, per-sender sequence)-ordered mailbox the simulator uses.
 // Per-sender FIFO is inherited from TCP's in-order delivery (one
 // connection per worker; relayed frames from one source are forwarded
-// by a single reader thread in arrival order), and receive_tagged pops
+// in arrival order into one FIFO queue), and receive_tagged pops
 // the lowest (sender, seq) key among queued matches. Unlike SimNetwork
 // it BLOCKS until a match arrives — the sender lives in another
 // process — returning std::nullopt only when the local node is dead or
@@ -38,14 +50,17 @@
 //  * a detected death additionally broadcasts a !death notice, so
 //    surviving workers map the victim onto fail-stop without ever
 //    having exchanged a byte with it;
-//  * the acceptor stays alive past the rendezvous, and a re-dial from
+//  * the listener stays open past the rendezvous, and a re-dial from
 //    an id whose previous connection died is GRANTED (a !rejoin frame,
 //    then the !epoch ack) instead of rejected as a duplicate hello —
 //    the worker comes back under a bumped epoch, exactly like an
 //    AvailabilitySchedule rejoin. A hello for an id that is still
 //    connected remains a rejected duplicate.
-// An epoch bump wakes any blocked receive_tagged (it returns nullopt),
-// which is how the round engine learns to re-check liveness mid-round.
+// An epoch bump wakes any blocked receive_tagged: unless a match lands
+// within 100 ms, it returns nullopt, which is how the round engine
+// learns to re-check liveness mid-round. (A frame the server sends
+// right after it learned of the change queues behind the change notice,
+// so the grace lets it complete the receive.)
 // Control frames are never charged to the traffic accountants.
 //
 // Time: sim_time()/max_sim_time() report *measured* wall-clock seconds
@@ -92,8 +107,8 @@ struct TcpOptions {
   // trips first.
   int dial_retries = 100;
   double dial_backoff_ms = 25.0;
-  // Heartbeats (server endpoint): `!ping` every heartbeat_interval_s on
-  // the acceptor pump; 0 (default) disables them and with them the
+  // Heartbeats (server endpoint): `!ping` every heartbeat_interval_s
+  // from the I/O loop; 0 (default) disables them and with them the
   // suspect machinery — liveness then only reacts to connection drops,
   // the pre-liveness behavior. A worker silent for suspect_after_s is
   // SUSPECTED (logged + counted, nothing evicted; the engine degrades
@@ -103,14 +118,13 @@ struct TcpOptions {
   double heartbeat_interval_s = 0.0;
   double suspect_after_s = 2.0;
   double grace_s = 8.0;
-  // Bound of the per-connection async send queue (frames). Every write
-  // is enqueued and drained by the connection's writer thread, which
-  // puts the frame head and each payload segment on the wire as the
-  // iovecs of one sendmsg(2), never copying the payload; a full
-  // queue blocks the producer (backpressure, observed by the
-  // send_queue_stall_seconds histogram) until the writer frees a slot
-  // or the peer dies — a dead peer's queue is dropped wholesale so the
-  // crash control plane never waits on undeliverable frames.
+  // Bound of each connection's send queue (frames). A producer thread
+  // (send, announce_admission, ship_rejoin_state) finding the queue full
+  // blocks until the I/O loop writes a frame out or the peer dies
+  // (backpressure, observed by the send_queue_stall_seconds histogram);
+  // a dead peer's queue is dropped wholesale so the crash control plane
+  // never waits on undeliverable frames. Control frames the loop itself
+  // queues skip the bound.
   std::size_t send_queue_depth = 128;
 };
 
@@ -148,9 +162,10 @@ class TcpNetwork final : public Transport {
   // endpoint that is tearing down.
   bool wait_ready();
 
-  // Idempotent teardown (also run by the destructor): stops the
-  // acceptor and reader threads and severs every connection. Any
-  // blocked wait_ready()/receive_tagged() returns false/nullopt.
+  // Idempotent teardown (also run by the destructor): lets the I/O
+  // thread flush queued frames for up to 5 s, then stops it and severs
+  // every connection. Any blocked wait_ready()/receive_tagged() returns
+  // false/nullopt.
   void close();
 
   // True once the server granted this worker endpoint a rejoin (its id
@@ -223,30 +238,33 @@ class TcpNetwork final : public Transport {
   bool await_alive(int node, double timeout_s) override;
 
  private:
-  // One frame staged for the connection's writer thread: the pre-payload
-  // bytes (header + fixed fields + tag) plus the refcounted payload
-  // segments, written as one gathered sendmsg. Broadcast frames queued
+  // One queued frame: the pre-payload bytes (header + fixed fields +
+  // tag) plus the refcounted payload segments. Broadcast frames queued
   // to W connections share their batch segments — the queue holds
   // references, never copies.
   struct OutFrame {
     std::vector<std::uint8_t> head;
     SharedBuf body;
+    std::size_t size() const { return head.size() + body.size(); }
   };
+  // A socket the I/O thread owns: a node slot in conns_, or (server) an
+  // accepted socket in pending_ that still owes its hello. Only the
+  // loop assigns or closes fd, and always under mu_ (connect() sets the
+  // first one before the loop starts).
   struct Conn {
     int fd = -1;
-    // Guards queue/stop/dead/inflight (and fd at close). Producers
-    // enqueue under it; the writer thread drains in enqueue order, so
-    // per-connection FIFO — the ordering contract the !admit broadcast
-    // and the mailbox rely on — is preserved across the async hop.
-    std::mutex write_mu;
-    std::condition_variable write_cv;
+    // FIFO send queue: producers append under mu_, the loop writes and
+    // pops. Elements never move, so the loop writes them outside mu_.
     std::deque<OutFrame> queue;
-    bool stop = false;      // close requested: drain, then exit
-    bool dead = false;      // writer hit a socket error; queue dropped
-    bool inflight = false;  // writer is mid-write outside the lock
-    std::thread writer;
-    std::thread reader;
-    ConnRxStats rx;  // last frame this connection delivered; under mu_
+    std::uint64_t generation = 0;  // bumped when a connection ends; mu_
+    ConnRxStats rx;                // last frame delivered; under mu_
+    // Loop-only state.
+    std::size_t sent = 0;       // bytes of queue.front() on the wire
+    bool out_blocked = false;   // last write hit EAGAIN: poll POLLOUT
+    FrameDecoder dec;           // the frame being read
+    int relay_wait = -1;        // paused until this slot's queue drains
+    double hello_deadline = 0;  // pending: dropped if no hello by then
+    bool reply_then_close = false;  // pending: answered a !stats probe
   };
   struct Stored {
     std::uint64_t seq = 0;
@@ -255,68 +273,68 @@ class TcpNetwork final : public Transport {
 
   TcpNetwork(int local, std::size_t n_workers, Options opts);
 
+  // Pops the (sender, seq)-smallest queued message tagged `tag`; mu_
+  // held.
+  std::optional<Message> pop_locked(const std::string& tag);
+  bool all_registered() const;  // mu_ held
   void check_node(int node) const;
   void check_local(int node, const char* what) const;
   double elapsed_s() const;
-  // Frames one message and hands it to `conn`'s writer thread; returns
-  // false (and marks `peer` dead, if `conn` is still its current
-  // connection) when the connection is already gone. A full queue
-  // blocks until the writer frees a slot (backpressure) or the
-  // connection dies. True means accepted in FIFO order, not yet on the
-  // wire — the writer drains asynchronously.
-  // `ctx` is the causal trace context stamped into the frame head: the
-  // sender's flow id on first hop, or the ORIGINAL sender's context
-  // preserved verbatim on the W->W relay.
-  bool write_frame(Conn& conn, int peer, int src, int dst,
-                   const std::string& tag, SharedBuf&& payload,
-                   const TraceCtx& ctx = {});
-  // Copying convenience for small control payloads the caller reuses.
-  bool write_frame(Conn& conn, int peer, int src, int dst,
-                   const std::string& tag, const ByteBuffer& payload,
-                   const TraceCtx& ctx = {});
-  // The per-connection drain loop: pops frames in enqueue order and
-  // writes them (head + payload segments as sendmsg iovecs). On a write
-  // failure it drops whatever is queued (counted into the flight
-  // recorder), marks the peer dead, and exits.
-  void writer_loop(int peer, Conn* conn);
-  void spawn_writer(int peer, Conn* conn);
-  // Teardown half of the writer protocol: bounded linger for the queue
-  // to flush, then stop + sever + join (writer first, then reader).
-  void retire_conn_threads(Conn& conn, bool flush);
-  void reader_loop(int peer, Conn* conn);
-  void accept_loop(int listen_fd);
-  // Answers a `!stats` probe on a freshly accepted connection: one
-  // frame carrying a JSON snapshot of epoch, live round/phase, the
+  // The I/O thread, started by serve()/connect() once its first sockets
+  // are in place. Runs until close(), then flushes queued frames for at
+  // most 5 s and closes every socket.
+  void run_loop();
+  // Appends `f` to `peer`'s queue; mu_ held. With `lock`, the caller is
+  // a producer thread: it blocks while the queue is full and pokes the
+  // loop when the queue was empty. Without, it is the loop (or the
+  // control fan-out, which pokes afterwards) and never blocks. False
+  // when the peer is dead, the endpoint is closing, or the connection
+  // the frame was meant for ended meanwhile (a rejoined worker's new
+  // connection never carries frames accepted for its previous one).
+  bool enqueue(int peer, OutFrame&& f,
+               std::unique_lock<std::mutex>* lock = nullptr);
+  // A small control frame from this node to `peer`, queued unbounded;
+  // mu_ held.
+  void queue_control(int peer, const char* tag, const ByteBuffer& payload);
+  // Writes queued frames until the queue is empty or the socket is
+  // full (several frames per sendmsg). False on a socket error.
+  bool flush(Conn& c);
+  // Reads until c.dec holds a whole frame or the socket is drained.
+  // False on EOF, a socket error or a malformed stream.
+  static bool read_some(Conn& c);
+  // read_some + deliver, frame by frame, until the socket is drained or
+  // a relay paused the connection.
+  bool drain(int peer, Conn& c);
+  // Loop, mu_ held: closes `peer`'s socket and drops its queue (a dead
+  // peer's drop is recorded as writer_drop).
+  void drop_conn(int peer);
+  // Routes one decoded frame from connection `peer`: mailbox, W->W
+  // relay (server) or the control handler.
+  void deliver(int peer, Frame&& f);
+  // Server: drains and classifies pending sockets — a valid hello
+  // joins (or rejoins) its slot, a !stats probe gets one snapshot
+  // frame, anything else or a missed deadline is closed.
+  void serve_pending();
+  void admit_hello(Conn& p, const Frame& hello);
+  // One frame carrying a JSON snapshot of epoch, live round/phase, the
   // per-worker liveness table and (when a sink is attached) the full
-  // metrics registry. The caller closes the fd.
-  void serve_stats(int fd);
-  // Server side: drains queued death notices and epoch bumps into
-  // !death / !epoch broadcasts. Runs on the acceptor thread so no
-  // mark_dead caller ever writes control frames while holding a
-  // connection's write_mu (which could deadlock across two conns).
-  void pump_control();
-  // Accepted a hello for an id whose previous connection died: tear the
-  // old conn down, install the new one under a bumped epoch, and send
-  // the !rejoin grant. Acceptor thread only.
-  void grant_rejoin(int id, int fd);
+  // metrics registry: the answer to a `!stats` probe.
+  std::vector<std::uint8_t> stats_frame();
   // Dispatch one control frame from connection `peer` (worker side:
   // server->worker notices; server side: !pong echoes).
   void handle_control(int peer, const Frame& f);
-  // Server side, acceptor thread: heartbeat emission + liveness-timer
-  // advance (suspect / dead transitions). No-op unless
-  // opts_.heartbeat_interval_s > 0.
+  // Server, loop: heartbeat emission + liveness-timer advance (suspect
+  // / dead transitions). No-op unless opts_.heartbeat_interval_s > 0.
   void pump_heartbeats();
   // !epoch payload for the current state; call with mu_ held.
   ByteBuffer encode_epoch_locked() const;
-  void enqueue_local(int src, const std::string& tag, ByteBuffer&& payload,
-                     std::uint64_t flow = 0);
+  // Server, mu_ held: `tag` + payload to every live registered worker.
+  void broadcast_control(const char* tag, const ByteBuffer& payload);
   void charge(int src, int dst, const std::string& tag, std::size_t bytes);
-  // Marks `peer` dead (fail-stop). When `expect` is non-null the mark
-  // only applies if `expect` is still peer's current connection — a
-  // write failure on a connection that was already retired by a rejoin
-  // must not kill the fresh incarnation.
-  void mark_dead(int peer, const Conn* expect = nullptr);
-  void close_all();
+  // Marks `peer` dead (fail-stop): severs its socket, and on the server
+  // fans the !death + !epoch notices out to the survivors.
+  void mark_dead(int peer);
+  void poke();
   void on_sink_attached() override;
 
   const int local_;  // kServerId for the server endpoint, else worker id
@@ -327,7 +345,7 @@ class TcpNetwork final : public Transport {
   std::chrono::steady_clock::time_point rendezvous_deadline_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  // mailbox / liveness / rendezvous events
+  std::condition_variable cv_;  // mailbox / liveness / queue-space events
   std::vector<bool> alive_;     // index 0 = server
   std::vector<bool> registered_;  // per worker id; server endpoint only
   std::vector<Stored> mailbox_;   // the local node's mailbox
@@ -340,14 +358,12 @@ class TcpNetwork final : public Transport {
 
   // Control-plane state, all under mu_.
   std::uint64_t epoch_ = 0;          // bumped on every membership change
-  bool epoch_dirty_ = false;         // server: pump should broadcast !epoch
-  std::vector<int> pending_deaths_;  // server: queued !death notices
   bool hello_acked_ = false;         // worker: first !epoch received
   bool rejoin_granted_ = false;      // worker: !rejoin received
   std::vector<int> pending_grants_;  // server: grants not yet harvested
   std::vector<Admission> admissions_;  // worker: !admit notices
   std::optional<ByteBuffer> rejoin_state_;  // worker: !state payload
-  LivenessTracker liveness_;         // server; advanced on the acceptor
+  LivenessTracker liveness_;         // server; advanced by the loop
   double last_ping_s_ = 0.0;         // server: last heartbeat broadcast
   std::uint64_t ping_seq_ = 0;
   std::uint64_t suspect_count_ = 0;  // suspect episodes (mirrors metric)
@@ -355,25 +371,22 @@ class TcpNetwork final : public Transport {
   std::uint64_t dial_retries_flushed_ = 0;  // already pushed to the sink
 
   // conns_[w] is the server's connection to worker w; a worker endpoint
-  // uses conns_[0] for its single connection to the server. Slots are
-  // written by the acceptor thread (under mu_); a conn replaced by a
-  // rejoin is parked in retired_ instead of destroyed, so a straggling
-  // sender still holding the old Conn* fails its write harmlessly
-  // (fd -1, identity-checked mark_dead) instead of using freed memory.
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<std::unique_ptr<Conn>> retired_;
-  std::thread acceptor_;
-  std::mutex close_mu_;  // serializes close() vs destructor
-  bool closed_ = false;  // under close_mu_
+  // uses conns_[0]. Sized once, so a Conn never moves: a rejoin reuses
+  // the slot in place.
+  std::vector<Conn> conns_;
+  std::vector<Conn> pending_;  // server, loop-only
+  int listen_fd_ = -1;         // server, loop-only after start
+  int wake_fd_ = -1;           // eventfd: producers poke the loop
+  std::thread io_;
+  std::once_flag close_once_;
 };
 
 // One-shot live introspection: dial a serving TcpNetwork endpoint,
 // send a `!stats` probe in place of the hello and return the JSON
-// snapshot it answers with (see serve_stats for the shape). Returns
+// snapshot it answers with (see stats_frame for the shape). Returns
 // nullopt when the dial, the probe or the reply fails within
-// `timeout_s`. Any client may call this at any time — the server's
-// acceptor answers between rendezvous/rejoin duties without touching
-// membership.
+// `timeout_s`. Any client may call this at any time — the server's I/O
+// loop answers it without touching membership.
 std::optional<std::string> fetch_stats(const std::string& host,
                                        std::uint16_t port,
                                        double timeout_s = 5.0);

@@ -52,5 +52,14 @@ TEST(CliFlags, NegativeNumbersAsValues) {
   EXPECT_EQ(f.get_int("offset", 0), -5);
 }
 
+TEST(CliFlags, UnknownListsFlagsOutsideTheKnownSet) {
+  auto f = parse({"--role=sim", "--arch=cnn-mnist", "--iters", "3",
+                  "--verbose", "pos"});
+  EXPECT_EQ(f.unknown({"role", "iters"}),
+            (std::vector<std::string>{"arch", "verbose"}));
+  EXPECT_TRUE(f.unknown({"role", "iters", "arch", "verbose"}).empty());
+  EXPECT_TRUE(parse({"pos"}).unknown({}).empty());  // positionals pass
+}
+
 }  // namespace
 }  // namespace mdgan

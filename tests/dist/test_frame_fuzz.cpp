@@ -1,21 +1,27 @@
-// Adversarial bytes against the TCP wire framing. read_frame is the
-// one function that turns an untrusted byte stream into Frames, so it
-// is driven here over real socketpairs with every malformation class a
+// Adversarial bytes against the TCP wire framing. FrameDecoder is the
+// one parser that turns an untrusted byte stream into Frames — the I/O
+// loop feeds it non-blocking reads, read_frame drives it off a blocking
+// fd — so both are attacked here with every malformation class a
 // hostile or corrupt peer can produce: truncated headers, bad magic,
 // tag lengths overrunning the body, oversize body lengths, truncated
-// payloads, and plain seeded garbage. The contract under attack is
-// always the same — return false, never crash, never hang, never let a
-// 4-byte length field drive a giant allocation. The last test points
-// the same adversary at a live acceptor: a garbage hello must not
-// stall the rendezvous for a legitimate worker.
+// payloads, and plain seeded garbage. read_frame runs over real
+// socketpairs; the decoder also gets each stream in 1-byte and random
+// chunks and must reach the same verdict and the same Frames as with
+// the whole buffer. The contract under attack is always the same —
+// reject, never crash, never hang, never let a 4-byte length field
+// drive a giant allocation. The last tests point the same adversary at
+// a live server: a garbage hello must not stall the rendezvous for a
+// legitimate worker.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +64,83 @@ void put_le32(std::uint8_t* p, std::uint32_t v) {
   p[1] = static_cast<std::uint8_t>(v >> 8);
   p[2] = static_cast<std::uint8_t>(v >> 16);
   p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+// What a FrameDecoder makes of `bytes` fed at most chunk() bytes at a
+// time: the frames it completes, how many bytes it consumed, and how
+// the stream ended.
+enum class End { kClean, kTruncated, kRejected };
+struct Verdict {
+  std::vector<Frame> frames;
+  std::size_t consumed = 0;
+  End end = End::kClean;
+};
+
+Verdict decode_chunked(const std::vector<std::uint8_t>& bytes,
+                       const std::function<std::size_t()>& chunk) {
+  FrameDecoder dec;
+  Verdict v;
+  bool mid_frame = false;
+  while (v.consumed < bytes.size()) {
+    const std::size_t n =
+        std::min({dec.want(), chunk(), bytes.size() - v.consumed});
+    std::memcpy(dec.next(), bytes.data() + v.consumed, n);
+    v.consumed += n;
+    if (!dec.advance(n)) {
+      v.end = End::kRejected;
+      return v;
+    }
+    mid_frame = !dec.ready();
+    if (dec.ready()) v.frames.push_back(dec.take());
+  }
+  v.end = mid_frame ? End::kTruncated : End::kClean;
+  return v;
+}
+
+void expect_same_frame(const Frame& a, const Frame& b) {
+  EXPECT_EQ(a.src, b.src);
+  EXPECT_EQ(a.dst, b.dst);
+  EXPECT_EQ(a.ctx.node, b.ctx.node);
+  EXPECT_EQ(a.ctx.seq, b.ctx.seq);
+  EXPECT_EQ(a.ctx.span, b.ctx.span);
+  EXPECT_EQ(a.tag, b.tag);
+  ASSERT_EQ(a.payload.size(), b.payload.size());
+  EXPECT_EQ(std::memcmp(a.payload.data(), b.payload.data(), a.payload.size()),
+            0);
+}
+
+// Decodes `bytes` whole, in 1-byte chunks and in seeded random chunks,
+// checks all three agree frame for frame, and checks read_frame over a
+// socketpair accepts exactly those frames. Returns the whole-buffer
+// verdict for the caller's own expectations.
+Verdict expect_chunking_invariant(const std::vector<std::uint8_t>& bytes,
+                                  std::uint64_t seed) {
+  const Verdict whole = decode_chunked(bytes, [] { return SIZE_MAX; });
+  Rng rng(seed);
+  const auto random_chunk = [&] {
+    return 1 + static_cast<std::size_t>(rng.uniform() * 13.0);
+  };
+  for (const Verdict& v : {decode_chunked(bytes, [] { return 1; }),
+                           decode_chunked(bytes, random_chunk)}) {
+    EXPECT_EQ(v.end, whole.end);
+    EXPECT_EQ(v.consumed, whole.consumed);
+    EXPECT_EQ(v.frames.size(), whole.frames.size());
+    for (std::size_t i = 0; i < std::min(v.frames.size(),
+                                         whole.frames.size()); ++i) {
+      expect_same_frame(v.frames[i], whole.frames[i]);
+    }
+  }
+  Pair p;
+  p.write_bytes(bytes);
+  p.finish();
+  for (const Frame& want : whole.frames) {
+    Frame got;
+    EXPECT_TRUE(read_frame(p.fd[1], got));
+    expect_same_frame(got, want);
+  }
+  Frame extra;
+  EXPECT_FALSE(read_frame(p.fd[1], extra));
+  return whole;
 }
 
 TEST(FrameFuzz, RoundtripSurvivesTheCodec) {
@@ -186,7 +269,80 @@ TEST(FrameFuzz, SeededGarbageNeverCrashesTheReader) {
   }
 }
 
-// The adversary against the live acceptor: a connection that sends
+// Every malformation class above, now fed to the decoder in 1-byte and
+// random-size chunks as well as whole: the verdict, the consumed byte
+// count and every Frame must match. Rejections happen at the stage that
+// holds the offending field, before anything is allocated for the tag
+// or the payload.
+TEST(FrameFuzz, ChunkedDecodingMatchesWholeBufferDecoding) {
+  std::uint64_t seed = 1;
+  // Valid: two back-to-back frames (one traced, one empty).
+  TraceCtx ctx;
+  ctx.node = 2;
+  ctx.seq = 9;
+  ctx.span = 0x1234567890abcdefull;
+  auto two = encode_frame(2, 1, "disc_swap",
+                          payload_of(std::vector<float>{1.f, 2.f, 3.f}), ctx);
+  const auto empty = encode_frame(0, 1, "!epoch", ByteBuffer());
+  two.insert(two.end(), empty.begin(), empty.end());
+  Verdict v = expect_chunking_invariant(two, seed++);
+  EXPECT_EQ(v.end, End::kClean);
+  ASSERT_EQ(v.frames.size(), 2u);
+  EXPECT_EQ(v.frames[0].ctx.span, ctx.span);
+  EXPECT_EQ(v.frames[1].tag, "!epoch");
+
+  // Truncated at every byte of a frame.
+  const auto wire = encode_frame(2, 0, "feedback",
+                                 payload_of(std::vector<float>{1.f, 2.f}));
+  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+    v = expect_chunking_invariant(
+        std::vector<std::uint8_t>(wire.begin(), wire.begin() + cut), seed++);
+    EXPECT_EQ(v.end, End::kTruncated) << "cut at byte " << cut;
+  }
+
+  // Bad magic and oversize body_len: rejected from the 8 header bytes.
+  for (const auto& [magic, body_len] :
+       std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {0xdeadbeefu, 16},
+           {kFrameMagic, kMaxFrameBodyBytes + 1},
+           {kFrameMagic, 0xffffffffu},
+           {kFrameMagic, kFrameBodyFixedBytes - 1}}) {
+    std::vector<std::uint8_t> bad(kFrameHeaderBytes + 64, 0x41);
+    put_le32(bad.data(), magic);
+    put_le32(bad.data() + 4, body_len);
+    v = expect_chunking_invariant(bad, seed++);
+    EXPECT_EQ(v.end, End::kRejected);
+    EXPECT_EQ(v.consumed, kFrameHeaderBytes);
+  }
+
+  // Tag overruns (past the body, past the cap): rejected from the fixed
+  // fields, before the tag is allocated.
+  for (const auto& [body_len, tag_len] :
+       std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {kFrameBodyFixedBytes + 4, 5},
+           {kFrameBodyFixedBytes + kMaxFrameTagBytes + 1,
+            kMaxFrameTagBytes + 1}}) {
+    std::vector<std::uint8_t> bad(kFrameHeaderBytes + body_len, 0);
+    put_le32(bad.data(), kFrameMagic);
+    put_le32(bad.data() + 4, body_len);
+    put_le32(bad.data() + 16, tag_len);
+    v = expect_chunking_invariant(bad, seed++);
+    EXPECT_EQ(v.end, End::kRejected);
+    EXPECT_EQ(v.consumed, kFrameHeaderBytes + kFrameBodyFixedBytes);
+  }
+
+  // Seeded garbage, half of it behind a valid magic.
+  Rng rng(0xfeedface);
+  for (int it = 0; it < 200; ++it) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform() * 96);
+    std::vector<std::uint8_t> junk(n);
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.uniform() * 256.0);
+    if (it % 2 == 0 && n >= 4) put_le32(junk.data(), kFrameMagic);
+    expect_chunking_invariant(junk, seed++);
+  }
+}
+
+// The adversary against a live server: a connection that sends
 // garbage instead of a hello must neither crash the server nor wedge
 // its rendezvous — a legitimate worker joining afterwards still forms
 // the cluster.
@@ -248,7 +404,7 @@ TEST(FrameFuzz, ControlTagAtTheLengthCapBoundary) {
 TEST(FrameFuzz, GarbagePongInsteadOfHelloIsRejectedByTheAcceptor) {
   // A connection whose first frame is a well-formed !pong from an
   // unknown id — not a hello — must be turned away without crashing
-  // the acceptor or wedging the rendezvous.
+  // the server or wedging the rendezvous.
   TcpOptions opts;
   opts.rendezvous_timeout_s = 20.0;
   opts.receive_timeout_s = 20.0;
@@ -331,7 +487,7 @@ TEST(FrameFuzz, MalformedControlFramesAfterAValidHelloAreDropped) {
 TEST(FrameFuzz, TruncatedStateAndAdmitFramesDoNotKillTheWorker) {
   // The mirror image: a hostile/corrupt *server* feeding a worker
   // endpoint truncated !admit bodies and a truncated θ inside a
-  // well-framed !state. The control pump drops the former; the latter
+  // well-framed !state. The control handler drops the former; the latter
   // is stored verbatim and fails loudly (and cleanly) only at
   // RejoinState::decode.
   int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -384,8 +540,8 @@ TEST(FrameFuzz, TruncatedStateAndAdmitFramesDoNotKillTheWorker) {
     epoch.write_pod<std::uint32_t>(1);
     epoch.write_pod<std::uint8_t>(1);
     send_frame(kTagEpoch, epoch);
-    // The worker's reply to the ping must arrive — proof the reader
-    // thread survived everything that preceded it.
+    // The worker's reply to the ping must arrive — proof its I/O loop
+    // survived everything that preceded it.
     Frame pong;
     EXPECT_TRUE(read_frame(fd, pong));
     EXPECT_EQ(pong.tag, kTagPong);

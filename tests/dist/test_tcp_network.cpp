@@ -14,6 +14,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <functional>
 #include <string>
 #include <thread>
@@ -541,10 +543,8 @@ TEST(TcpMdGan, ServerSurvivesWorkerVanishingMidRun) {
 
 // --- heartbeats and the suspect machinery over real sockets -------------
 
-// A raw socket that completes a valid hello but never answers a !ping:
-// the only way to make a "silent but connected" worker, since a real
-// TcpNetwork endpoint echoes pings automatically.
-int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
+// A raw loopback socket connected to `port` that has sent nothing yet.
+int raw_dial(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -554,6 +554,14 @@ int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr)),
             0);
+  return fd;
+}
+
+// A raw socket that completes a valid hello but never answers a !ping:
+// the only way to make a "silent but connected" worker, since a real
+// TcpNetwork endpoint echoes pings automatically.
+int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
+  const int fd = raw_dial(port);
   ByteBuffer hello;
   hello.write_pod<std::uint32_t>(static_cast<std::uint32_t>(worker_id));
   hello.write_pod<std::uint64_t>(n_workers);
@@ -897,6 +905,64 @@ TEST(TcpNetwork, StatsProbeMatchesTheAccountantExactly) {
   server.reset();
   EXPECT_FALSE(fetch_stats("127.0.0.1", port, /*timeout_s=*/1.0)
                    .has_value());
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// A dialer that connects and never says hello owes it within a
+// per-socket deadline; it must stall neither the control plane nor the
+// hellos queued behind it. (Read with a blocking 5 s timeout, the
+// silent socket held the hello behind it for 5 s.)
+TEST(TcpNetwork, SilentDialerStallsNeitherTheDeathFanOutNorLaterHellos) {
+  auto server = TcpNetwork::serve(0, 3, fast_opts());
+  auto w1 = TcpNetwork::connect("127.0.0.1", server->port(), 1, 3,
+                                fast_opts());
+  auto w2 = TcpNetwork::connect("127.0.0.1", server->port(), 2, 3,
+                                fast_opts());
+  ASSERT_TRUE(w1->wait_ready());
+  ASSERT_TRUE(w2->wait_ready());
+  const int silent = raw_dial(server->port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // accepted
+
+  // A worker hello that arrives behind the silent socket is served.
+  auto t0 = std::chrono::steady_clock::now();
+  auto w3 = TcpNetwork::connect("127.0.0.1", server->port(), 3, 3,
+                                fast_opts());
+  ASSERT_TRUE(w3->wait_ready());
+  ASSERT_TRUE(server->wait_ready());
+  EXPECT_LT(seconds_since(t0), 1.0);
+
+  // A death still reaches the survivors promptly.
+  t0 = std::chrono::steady_clock::now();
+  w2->close();
+  ASSERT_TRUE(eventually([&] { return !w1->is_alive(2); }, 1.0))
+      << "the !death fan-out took longer than 1 s";
+  EXPECT_LT(seconds_since(t0), 1.0);
+  EXPECT_TRUE(w3->is_alive(1));
+  ::close(silent);
+}
+
+std::size_t thread_count() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"), {}));
+}
+
+// Each endpoint runs exactly one I/O thread, whatever its connection
+// count: a 3-worker loopback cluster is 4 transport threads.
+TEST(TcpNetwork, OneIoThreadPerEndpoint) {
+  const std::size_t before = thread_count();
+  auto server = TcpNetwork::serve(0, 3, fast_opts());
+  std::vector<std::unique_ptr<TcpNetwork>> workers;
+  for (int w = 1; w <= 3; ++w) {
+    workers.push_back(TcpNetwork::connect("127.0.0.1", server->port(), w, 3,
+                                          fast_opts()));
+  }
+  ASSERT_TRUE(server->wait_ready());
+  for (auto& w : workers) ASSERT_TRUE(w->wait_ready());
+  EXPECT_EQ(thread_count() - before, 4u);
 }
 
 }  // namespace
