@@ -343,7 +343,9 @@ echo "--- drill: kill -9 a worker mid-run (unscheduled fail-stop + rejoin)"
 # the EOF, shrink the affected collect, notify the survivors over the
 # control plane, and finish all iterations with finite weights; a probe
 # process then re-dials as worker 3 and must be granted a rejoin under
-# a bumped membership epoch rather than rejected as a duplicate.
+# a bumped membership epoch rather than rejected as a duplicate. The
+# workers that finish say !bye before closing, so the server counts
+# exactly one death: the kill.
 # The TCP sends ride the per-connection send queues, so the drill also
 # proves the crash control plane (fail-stop, rejoin, !state) survives
 # those queues dropping a dead peer's frames.
@@ -413,7 +415,7 @@ python3 - <<'PY'
 import json
 final = [json.loads(l) for l in open("kill_metrics.jsonl")][-1]
 c, g = final["counters"], final["gauges"]
-assert c.get("peer_deaths_total", 0) >= 1, c
+assert c.get("peer_deaths_total", 0) == 1, c
 assert c.get("rejoins_total", 0) >= 1, c
 assert c.get("rejoin_admitted_total", 0) >= 1, c
 assert c.get("readmitted_feedback_total", 0) >= 1, c
@@ -435,6 +437,8 @@ def first_index(kind, node):
             return i
     raise AssertionError(f"no {kind!r} event for node {node}: "
                          f"{[(e['kind'], e['node']) for e in events]}")
+deaths = [e["node"] for e in events if e["kind"] == "death"]
+assert deaths == [3], f"want exactly one death, of node 3: {deaths}"
 death = first_index("death", 3)
 grant = first_index("rejoin_grant", 3)
 admit = first_index("admission", 3)
@@ -496,8 +500,8 @@ grep -q 're-seated' part_server.log || {
 grep -q 'finite=yes' part_server.log || {
   echo "FAIL: partition-drill run did not finish finite"; exit 1; }
 # The liveness machinery must never have escalated the stall: no
-# grace-window death, no rejoin cycle. (Teardown EOFs at process exit
-# are ordinary fail-stop noise and take neither path.)
+# grace-window death, no rejoin cycle. (The workers say !bye before
+# their teardown EOF, which takes neither path.)
 grep -q 'silent past the grace window' part_server.log && {
   echo "FAIL: a transient partition was escalated to a death"; exit 1; }
 grep -q 'granting rejoin' part_server.log && {

@@ -240,10 +240,11 @@ dist::TcpOptions tcp_options_from(const CliFlags& flags) {
   // worker becomes suspect after --suspect-ms and dead only after a
   // further --grace-ms, so a transient partition re-seats instead of
   // triggering the death fan-out.
-  opts.heartbeat_interval_s = flags.get_double("heartbeat-ms", 0.0) / 1000.0;
-  opts.suspect_after_s =
-      flags.get_double("suspect-ms", opts.suspect_after_s * 1000.0) / 1000.0;
-  opts.grace_s = flags.get_double("grace-ms", opts.grace_s * 1000.0) / 1000.0;
+  dist::LivenessConfig& lv = opts.liveness;
+  lv.heartbeat_interval_s = flags.get_double("heartbeat-ms", 0.0) / 1000.0;
+  lv.suspect_after_s =
+      flags.get_double("suspect-ms", lv.suspect_after_s * 1000.0) / 1000.0;
+  lv.grace_s = flags.get_double("grace-ms", lv.grace_s * 1000.0) / 1000.0;
   // Per-connection send queue bound (frames); a full queue
   // backpressures the producer until the I/O loop writes a frame out.
   opts.send_queue_depth = static_cast<std::size_t>(flags.get_int(
@@ -331,6 +332,7 @@ int run_worker(const NodeConfig& nc, const std::string& connect, int id,
                  {shards[static_cast<std::size_t>(id) - 1]}, nc.seed, *net,
                  nc.schedule(), core::NodeRole::worker(id));
   md.train(nc.iters);
+  net->say_bye();  // an orderly end of run, not a crash
   std::printf("worker %d: done, %lld iterations\n", id,
               static_cast<long long>(md.iterations_run()));
   return 0;
@@ -404,6 +406,7 @@ int run_rejoin_probe(const NodeConfig& nc, const std::string& connect,
                  nc.schedule(), core::NodeRole::worker(id));
   md.adopt_rejoin_state(std::move(st));
   md.train_from(admitted_at, nc.iters);
+  net->say_bye();
   std::printf("rejoin: worker %d trained from=%lld to=%lld\n", id,
               static_cast<long long>(admitted_at),
               static_cast<long long>(md.iterations_run()));

@@ -98,7 +98,7 @@ MdGan::MdGan(gan::GanArch arch, MdGanConfig cfg,
     if (w->shard.size() < cfg_.hp.batch) {
       throw std::invalid_argument("MdGan: shard smaller than batch size");
     }
-    w->rng = Rng(seed).split(0x3d9a).split(worker_1based);
+    w->rng = worker_stream(static_cast<int>(worker_1based));
     workers_[worker_1based - 1] = std::move(w);
   }
   // m, which fixes the swap period: the first shard governs, as it
@@ -250,33 +250,18 @@ void MdGan::server_generate_and_send(const std::vector<std::size_t>& discs,
 }
 
 void MdGan::local_work(const std::vector<std::size_t>& discs) {
-  switch (role_.kind) {
-    case NodeRole::Kind::kInProcess: {
-      std::vector<int> ids(discs.size());
-      for (std::size_t p = 0; p < discs.size(); ++p) {
-        ids[p] = static_cast<int>(p);
-      }
-      dist::for_each_worker(
-          ids,
-          [this, &discs](int p) {
-            worker_iteration(discs[static_cast<std::size_t>(p)]);
-          },
-          cfg_.parallel_workers);
-      break;
-    }
-    case NodeRole::Kind::kServer:
-      break;
-    case NodeRole::Kind::kWorker:
-      // This process embodies one worker: run only the discriminators
-      // it currently hosts (receive_tagged blocks until the server's
-      // batches arrive over the wire).
-      for (std::size_t p = 0; p < discs.size(); ++p) {
-        if (discs_[discs[p]].holder == role_.worker_id) {
-          worker_iteration(discs[p]);
-        }
-      }
-      break;
+  // Only the participants hosted by a worker this process embodies:
+  // in-process all of them, fanned out over the cluster pool; a worker
+  // role the one it hosts (a single id runs inline; receive_tagged
+  // blocks until the server's batches arrive over the wire); the
+  // server none.
+  std::vector<int> mine;
+  for (std::size_t j : discs) {
+    if (role_.embodies(discs_[j].holder)) mine.push_back(static_cast<int>(j));
   }
+  dist::for_each_worker(
+      mine, [this](int j) { worker_iteration(static_cast<std::size_t>(j)); },
+      cfg_.parallel_workers);
 }
 
 std::optional<dist::Message> receive_resilient(dist::Transport& net, int node,
@@ -375,18 +360,17 @@ void MdGan::worker_iteration(std::size_t disc_index) {
   ByteBuffer buf;
   buf.write_pod<std::uint32_t>(gi);
   dist::compress(feedback.vec(), cfg_.feedback_compression, buf);
-  net_.send(disc.holder, dist::kServerId, "feedback", std::move(buf));
+  net_.send(disc.holder, dist::kServerId, kFeedbackTag, std::move(buf));
 }
 
-void MdGan::server_fold_sync(std::vector<dist::Message>&& feedbacks,
-                             std::size_t k_eff) {
+void MdGan::server_fold(std::vector<dist::Message>&& feedbacks,
+                        std::size_t staleness, std::size_t k_eff) {
   const std::size_t b = cfg_.hp.batch;
   const std::size_t d = arch_.image_dim();
 
-  // The engine collected every feedback of the round; fold in ascending
-  // sender order: SimNetwork already pops that way, but TCP frames
-  // arrive in racy wall-clock order, and the float accumulation order
-  // must not depend on which transport carried them.
+  // Fold in ascending sender order: SimNetwork already pops that way,
+  // but TCP frames arrive in racy wall-clock order, and the float
+  // accumulation order must not depend on which transport carried them.
   struct Feedback {
     int from;
     std::uint32_t batch;
@@ -427,52 +411,23 @@ void MdGan::server_fold_sync(std::vector<dist::Message>&& feedbacks,
 
   // ∆w = (1/N) Σ_n backprop(F_n) — equivalently, per batch j, backprop
   // the summed feedback scaled by 1/N (paper §IV-B2; the 1/b factor is
-  // already inside each F_n).
+  // already inside each F_n). A single async feedback scales by exactly
+  // 1, so it backprops unchanged.
   const float inv_n = 1.f / static_cast<float>(received.size());
   g_opt_->zero_grad();
   for (std::size_t j = 0; j < k_eff; ++j) {
     if (counts[j] == 0) continue;  // batch unused by the SPLIT this round
-    // Re-forward G on the cached latent batch: G's parameters have not
-    // changed since generation, so this reproduces x exactly and primes
-    // the layer caches for backward.
+    // Re-forward G on the cached latent batch to prime the layer caches
+    // for backward. In sync G has not changed since generation, so this
+    // reproduces x exactly; in async the round's earlier arrivals
+    // already moved it — the inconsistent-update regime of §VII-1.
     g_.forward_ws(latent_batches_[j], /*train=*/true);
     upstream[j] *= inv_n;
     g_.backward_ws(upstream[j]);
   }
-  g_opt_->step();
-  ++gen_updates_;
-  if (gen_updates_total_ != nullptr) gen_updates_total_->inc();
-  // Server apply: the server's clock is already at the arrival of the
-  // slowest feedback (the engine's receive loop advanced it); the
-  // update's modeled compute lands on top of that.
-  if (cfg_.sim_server_update_seconds > 0.0) {
-    net_.advance_time(dist::kServerId, cfg_.sim_server_update_seconds);
-  }
-}
-
-void MdGan::server_apply_async(dist::Message&& feedback,
-                               std::size_t staleness, std::size_t k_eff) {
-  const std::size_t b = cfg_.hp.batch;
-  const std::size_t d = arch_.image_dim();
-  // One Adam update for this feedback, on arrival. The re-forward uses
-  // the *current* generator parameters, which already moved since the
-  // batch was generated — the inconsistent-update regime of §VII-1.
-  const auto j = feedback.payload.read_pod<std::uint32_t>();
-  if (j >= k_eff) throw std::logic_error("MdGan server: bad batch id");
-  if (feedback.from > 0 &&
-      feedback.from < static_cast<int>(readmitted_.size()) &&
-      readmitted_[static_cast<std::size_t>(feedback.from)]) {
-    ++readmitted_feedback_;
-    if (readmitted_feedback_total_ != nullptr) {
-      readmitted_feedback_total_->inc();
-    }
-  }
-  Tensor fb({b, d}, dist::decompress(feedback.payload));
-  g_opt_->zero_grad();
-  g_.forward_ws(latent_batches_[j], /*train=*/true);
-  g_.backward_ws(fb);
   // Staleness-aware step: damping shrinks the learning rate of updates
-  // computed against an old generator. Damping 0 is a plain step.
+  // computed against an old generator. Staleness 0 (every sync fold)
+  // or damping 0 is a plain step.
   const float scale =
       cfg_.async_staleness_damping > 0.f
           ? 1.f / (1.f + cfg_.async_staleness_damping *
@@ -481,8 +436,10 @@ void MdGan::server_apply_async(dist::Message&& feedback,
   g_opt_->step_scaled(scale);
   ++gen_updates_;
   if (gen_updates_total_ != nullptr) gen_updates_total_->inc();
-  // One modeled update cost per applied feedback: in the async regime
-  // the server is busy for every arrival, not once per round.
+  // Server apply: the server's clock is already at the arrival of the
+  // folded feedback (the engine's receive loop advanced it); the
+  // update's modeled compute lands on top of that — once per fold, so
+  // the async server is busy for every arrival, not once per round.
   if (cfg_.sim_server_update_seconds > 0.0) {
     net_.advance_time(dist::kServerId, cfg_.sim_server_update_seconds);
   }
@@ -529,91 +486,58 @@ void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
   // adopt. The wire carries θ only — the paper's swap cost — so the
   // host-local Adam moments cannot travel with the discriminator; every
   // adoption resets them, in-process included, which is what keeps
-  // role-split (TCP) and in-process runs bit-identical.
-  switch (role_.kind) {
-    case NodeRole::Kind::kInProcess:
-      for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        const auto params = disc.net.flatten_parameters();
-        ByteBuffer buf;
-        buf.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(alive_discs[p]));
-        buf.write_floats(params.data(), params.size());
-        net_.send(disc.holder, targets[p], "disc_swap", std::move(buf));
+  // role-split (TCP) and in-process runs bit-identical. Each process
+  // sends and adopts for the workers it embodies; the server embodies
+  // none and only replays the holder bookkeeping.
+  for (std::size_t p = 0; p < nd; ++p) {
+    Disc& disc = discs_[alive_discs[p]];
+    if (!role_.embodies(disc.holder)) continue;
+    const auto params = disc.net.flatten_parameters();
+    ByteBuffer buf;
+    buf.write_pod<std::uint32_t>(static_cast<std::uint32_t>(alive_discs[p]));
+    buf.write_floats(params.data(), params.size());
+    net_.send(disc.holder, targets[p], "disc_swap", std::move(buf));
+  }
+  for (std::size_t p = 0; p < nd; ++p) {
+    const int target = targets[p];
+    if (!role_.embodies(target)) continue;
+    // Over a real transport the incoming parameters travel from the old
+    // holder via the relay; if that worker crashed unscheduled mid-swap
+    // they will never arrive. Skip the adoption — the holder
+    // bookkeeping below still runs, so this view stays aligned with the
+    // other roles', and the next membership round prunes the orphan.
+    const int source = discs_[alive_discs[p]].holder;
+    auto msg = receive_resilient(target, "disc_swap", source);
+    if (!msg) {
+      if (!net_.is_alive(source)) {
+        MDGAN_LOG_WARN << "MdGan worker " << target << ": swap source "
+                       << source << " died mid-swap; keeping current "
+                          "discriminator " << alive_discs[p]
+                       << " parameters";
+        continue;
       }
-      for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        auto msg = net_.receive_tagged(targets[p], "disc_swap");
-        if (!msg) throw std::logic_error("MdGan swap: missing message");
-        msg->payload.read_pod<std::uint32_t>();
-        disc.net.assign_parameters(msg->payload.read_floats());
-        disc.opt->reset();
-        disc.holder = targets[p];
-      }
-      break;
-    case NodeRole::Kind::kServer:
-      // The parameters move worker-to-worker; the server only replays
-      // the holder bookkeeping.
-      for (std::size_t p = 0; p < nd; ++p) {
-        discs_[alive_discs[p]].holder = targets[p];
-      }
-      break;
-    case NodeRole::Kind::kWorker: {
-      const int me = role_.worker_id;
-      for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        if (disc.holder != me) continue;
-        const auto params = disc.net.flatten_parameters();
-        ByteBuffer buf;
-        buf.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(alive_discs[p]));
-        buf.write_floats(params.data(), params.size());
-        net_.send(me, targets[p], "disc_swap", std::move(buf));
-      }
-      for (std::size_t p = 0; p < nd; ++p) {
-        if (targets[p] != me) continue;
-        // The incoming parameters travel from the old holder via the
-        // relay; if that worker crashed unscheduled mid-swap they will
-        // never arrive. Skip the adoption — the holder bookkeeping
-        // below still runs, so this view stays aligned with the other
-        // roles', and the next membership round prunes the orphan.
-        const int source = discs_[alive_discs[p]].holder;
-        auto msg = receive_resilient(me, "disc_swap", source);
-        if (!msg) {
-          if (!net_.is_alive(source)) {
-            MDGAN_LOG_WARN << "MdGan worker " << me << ": swap source "
-                           << source << " died mid-swap; keeping current "
-                              "discriminator " << alive_discs[p]
-                           << " parameters";
-            continue;
-          }
-          throw std::logic_error("MdGan swap: missing message");
-        }
-        const auto idx = msg->payload.read_pod<std::uint32_t>();
-        if (idx != alive_discs[p]) {
-          throw std::logic_error("MdGan swap: discriminator id mismatch");
-        }
-        Disc& disc = discs_[idx];
-        disc.net.assign_parameters(msg->payload.read_floats());
-        disc.opt->reset();
-      }
-      for (std::size_t p = 0; p < nd; ++p) {
-        discs_[alive_discs[p]].holder = targets[p];
-      }
-      break;
+      throw std::logic_error("MdGan swap: missing message");
     }
+    const auto idx = msg->payload.read_pod<std::uint32_t>();
+    if (idx != alive_discs[p]) {
+      throw std::logic_error("MdGan swap: discriminator id mismatch");
+    }
+    Disc& disc = discs_[idx];
+    disc.net.assign_parameters(msg->payload.read_floats());
+    disc.opt->reset();
+  }
+  for (std::size_t p = 0; p < nd; ++p) {
+    discs_[alive_discs[p]].holder = targets[p];
   }
 }
 
-void MdGan::readmit_worker(int worker, std::int64_t round) {
-  // Rebirth every discriminator that died with this worker: a FRESH
-  // model (the old parameters died with the old incarnation and cannot
-  // be recovered), drawn from a stream every role derives identically
-  // from (seed, worker, admission round, disc index) — the rejoiner in
-  // adopt_rejoin_state, the server and every survivor here. Fresh Adam
-  // moments too, like a swap adoption.
+Rng MdGan::worker_stream(int worker) const {
+  return Rng(seed_).split(0x3d9a).split(static_cast<std::uint64_t>(worker));
+}
+
+void MdGan::reincarnate(int worker, std::int64_t round) {
   for (std::size_t j = 0; j < discs_.size(); ++j) {
-    if (discs_[j].holder != -1 || last_holder_[j] != worker) continue;
+    if (discs_[j].holder != worker) continue;
     Rng scratch = Rng(seed_)
                       .split(0xd15c)
                       .split(static_cast<std::uint64_t>(worker))
@@ -622,22 +546,23 @@ void MdGan::readmit_worker(int worker, std::int64_t round) {
     discs_[j].net = gan::build_discriminator(arch_, scratch);
     discs_[j].opt = std::make_unique<opt::Adam>(
         discs_[j].net.params(), discs_[j].net.grads(), cfg_.hp.d_adam);
-    discs_[j].holder = worker;
-    last_holder_[j] = -1;
     MDGAN_LOG_INFO << "MdGan: discriminator " << j << " reborn on worker "
                    << worker << " (admission round " << round << ")";
   }
-  // Reseed the worker's sampling stream from the admission round (a
-  // shared-knowledge tuple): the restarted process cannot know how far
-  // the old incarnation drew, so every role restarts the stream at the
-  // same point instead.
   auto& slot = workers_[static_cast<std::size_t>(worker - 1)];
   if (slot != nullptr) {
-    slot->rng = Rng(seed_)
-                    .split(0x3d9a)
-                    .split(static_cast<std::uint64_t>(worker))
-                    .split(static_cast<std::uint64_t>(round));
+    slot->rng = worker_stream(worker).split(static_cast<std::uint64_t>(round));
   }
+}
+
+void MdGan::readmit_worker(int worker, std::int64_t round) {
+  // Every discriminator that died with this worker comes back on it.
+  for (std::size_t j = 0; j < discs_.size(); ++j) {
+    if (discs_[j].holder != -1 || last_holder_[j] != worker) continue;
+    discs_[j].holder = worker;
+    last_holder_[j] = -1;
+  }
+  reincarnate(worker, round);
   readmitted_[static_cast<std::size_t>(worker)] = true;
 }
 
@@ -665,30 +590,15 @@ void MdGan::adopt_rejoin_state(RejoinState&& st) {
   }
   g_.assign_parameters(st.generator_params);
   swap_rng_.set_state(st.swap_rng);
-  const int me = role_.worker_id;
   for (std::size_t j = 0; j < discs_.size(); ++j) {
     discs_[j].holder = st.holders[j];
     last_holder_[j] = -1;
-    if (st.holders[j] == me && role_.kind == NodeRole::Kind::kWorker) {
-      // The holder map was serialized AFTER the server re-admitted this
-      // worker, so the discriminators mapped to it are the reborn ones:
-      // derive the identical fresh model the other roles derived.
-      Rng scratch = Rng(seed_)
-                        .split(0xd15c)
-                        .split(static_cast<std::uint64_t>(me))
-                        .split(static_cast<std::uint64_t>(st.admission_round))
-                        .split(j);
-      discs_[j].net = gan::build_discriminator(arch_, scratch);
-      discs_[j].opt = std::make_unique<opt::Adam>(
-          discs_[j].net.params(), discs_[j].net.grads(), cfg_.hp.d_adam);
-    }
   }
+  // The holder map was serialized AFTER the server re-admitted this
+  // worker, so the discriminators mapped to it are the reborn ones:
+  // derive the identical fresh models the other roles derived.
   if (role_.kind == NodeRole::Kind::kWorker) {
-    workers_[static_cast<std::size_t>(me - 1)]->rng =
-        Rng(seed_)
-            .split(0x3d9a)
-            .split(static_cast<std::uint64_t>(me))
-            .split(static_cast<std::uint64_t>(st.admission_round));
+    reincarnate(role_.worker_id, st.admission_round);
   }
   MDGAN_LOG_INFO << "MdGan: adopted rejoin state (admission round "
                  << st.admission_round << ", epoch " << st.membership_epoch
@@ -744,13 +654,9 @@ struct MdGan::EngineBridge final : RoundDelegate {
   void local_work(const std::vector<std::size_t>& discs) override {
     md.local_work(discs);
   }
-  void fold_sync(std::vector<dist::Message>&& feedbacks,
-                 std::size_t k_eff) override {
-    md.server_fold_sync(std::move(feedbacks), k_eff);
-  }
-  void apply_async(dist::Message&& feedback, std::size_t staleness,
-                   std::size_t k_eff) override {
-    md.server_apply_async(std::move(feedback), staleness, k_eff);
+  void fold(std::vector<dist::Message>&& feedbacks, std::size_t staleness,
+            std::size_t k_eff) override {
+    md.server_fold(std::move(feedbacks), staleness, k_eff);
   }
   void swap(std::int64_t /*iter*/,
             const std::vector<int>& present_workers) override {

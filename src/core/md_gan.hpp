@@ -16,22 +16,24 @@
 // The round mechanics — membership, sequencing, the server-side receive
 // loop, swap scheduling, timing — live in core::RoundEngine
 // (round_engine.hpp); MdGan implements the engine's RoundDelegate with
-// the GAN math and drives it from train(). The engine's ServerMode
-// policy selects between the paper's evaluated configuration and the
-// §VII-1 variant:
-//  * ServerMode::kSync (cfg.async = false): the server collects every
-//    feedback of the round at the barrier and folds them in ascending
-//    sender order into one Adam step — bit-identical to the historical
-//    monolithic trainer on either transport.
-//  * ServerMode::kAsync (cfg.async = true): one Adam step per feedback,
-//    on arrival, no barrier; feedbacks late in the round are stale with
+// the GAN math and drives it from train(). The server has ONE update,
+// the fold: it averages a batch of feedbacks in ascending sender order,
+// backpropagates them through G and takes one Adam step, scaled by
+// 1/(1 + cfg.async_staleness_damping * staleness) through the
+// optimizer's staleness-aware entry point (opt::Adam::step_scaled).
+// The engine's ServerMode policy only decides how feedbacks are batched
+// into folds, selecting between the paper's evaluated configuration and
+// the §VII-1 variant:
+//  * ServerMode::kSync (cfg.async = false): one fold per round, over
+//    every feedback collected at the barrier, with staleness 0 —
+//    bit-identical to the historical monolithic trainer on either
+//    transport.
+//  * ServerMode::kAsync (cfg.async = true): one fold per feedback, on
+//    arrival, no barrier; feedbacks late in the round are stale with
 //    respect to the already-updated generator — the inconsistency
 //    regime the paper describes. A bounded-staleness guard
 //    (cfg.async_max_staleness) drops feedbacks that arrive too many
-//    applied steps after their batch was generated, and
-//    cfg.async_staleness_damping scales the Adam learning rate by
-//    1/(1 + damping * staleness) through the optimizer's
-//    staleness-aware step entry point (opt::Adam::step_scaled).
+//    applied steps after their batch was generated.
 //
 // Two further §VII "perspectives" remain config switches:
 //  * feedback_compression (§VII-2, the Adacomp direction): int8
@@ -275,9 +277,8 @@ class MdGan {
 
   void server_generate_and_send(const std::vector<std::size_t>& discs,
                                 std::size_t k_eff);
-  // Worker-side phase of one round for the participants this process
-  // embodies (in-process: all of them, fanned out over the cluster
-  // pool; kWorker: the ones this worker hosts; kServer: none).
+  // Worker-side phase of one round for the participants hosted by the
+  // workers this process embodies (NodeRole::embodies).
   void local_work(const std::vector<std::size_t>& discs);
   void worker_iteration(std::size_t disc_index);
   // Member shim over the free receive_resilient, with this config's
@@ -285,27 +286,32 @@ class MdGan {
   std::optional<dist::Message> receive_resilient(int node,
                                                  const std::string& tag,
                                                  int sender);
-  // Re-admission (RoundDelegate::on_readmit): rebirth the
-  // discriminator(s) that died with `worker`, with parameters drawn
-  // deterministically from (seed, worker, round) — shared knowledge, so
-  // every role derives the identical fresh model — and reseed the
-  // worker's sampling stream from the same tuple so the restarted
-  // process and the surviving roles agree on its draws.
+  // Worker `worker`'s sampling stream as the run starts.
+  Rng worker_stream(int worker) const;
+  // Starts `worker`'s new incarnation at admission `round`: every
+  // discriminator it holds is reborn FRESH (the old parameters died
+  // with the old process), drawn from (seed, worker, round, disc index)
+  // — shared knowledge, so every role derives the identical model —
+  // with fresh Adam moments like a swap adoption; and its sampling
+  // stream, where this process holds it, restarts from (seed, worker,
+  // round), since a restarted process cannot know how far the old one
+  // drew. Shared by the re-admitting roles (readmit_worker) and the
+  // rejoiner itself (adopt_rejoin_state).
+  void reincarnate(int worker, std::int64_t round);
+  // Re-admission (RoundDelegate::on_readmit): hand the discriminators
+  // that died with `worker` back to it and reincarnate it.
   void readmit_worker(int worker, std::int64_t round);
   // Server side of the state transfer: the `!state` payload for a
   // worker admitted at `round` (core/rejoin.hpp).
   ByteBuffer serialize_rejoin_state(std::int64_t round);
-  // Sync server reduce: averages all feedbacks per batch, one Adam
-  // step. Feedbacks are folded in sender order regardless of arrival
-  // order, so the float accumulation is identical whether the transport
-  // delivered them deterministically (SimNetwork) or raced over real
-  // sockets (TcpNetwork).
-  void server_fold_sync(std::vector<dist::Message>&& feedbacks,
-                        std::size_t k_eff);
-  // Async server: one Adam step for this feedback, scaled by the
-  // staleness damping.
-  void server_apply_async(dist::Message&& feedback, std::size_t staleness,
-                          std::size_t k_eff);
+  // The server update (RoundDelegate::fold): averages the feedbacks
+  // per batch and takes one Adam step, damped by `staleness`. Feedbacks
+  // are folded in sender order regardless of arrival order, so the
+  // float accumulation is identical whether the transport delivered
+  // them deterministically (SimNetwork) or raced over real sockets
+  // (TcpNetwork).
+  void server_fold(std::vector<dist::Message>&& feedbacks,
+                   std::size_t staleness, std::size_t k_eff);
   void swap_discriminators(const std::vector<int>& present_workers);
 
   gan::GanArch arch_;

@@ -2,10 +2,22 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace mdgan::core {
+
+namespace {
+
+// How long a SCHEDULED crash-rejoin waits at the admission round for
+// the restarted worker to reconnect (Transport::await_alive). Pins the
+// admission round across roles when the rejoiner is a real process
+// restart; a no-op in simulation (await_alive returns immediately
+// there).
+constexpr double kReadmitWaitS = 30.0;
+
+}  // namespace
 
 ServerMode server_mode_from_name(const std::string& name) {
   if (name == "sync") return ServerMode::kSync;
@@ -119,15 +131,7 @@ void RoundEngine::harvest_readmissions(std::int64_t iter) {
     // round. Grants covered by a scheduled crash-rejoin are left for
     // the schedule's own readmit (SPMD shared knowledge already pins
     // that admission round everywhere).
-    for (int w : net_.take_rejoin_grants()) {
-      if (w < 1 || w > static_cast<int>(net_.n_workers())) continue;
-      if (availability_ != nullptr &&
-          availability_->within_crash_rejoin(w, iter)) {
-        continue;
-      }
-      stage_readmission(w, iter + 1, iter);
-      net_.announce_admission(w, iter + 1);
-    }
+    stage_rejoin_grants(iter, iter + 1);
     return;
   }
   // Worker roles learn admissions from the server's `!admit` broadcast,
@@ -143,6 +147,21 @@ void RoundEngine::harvest_readmissions(std::int64_t iter) {
       continue;
     }
     stage_readmission(a.worker, a.round, iter);
+  }
+}
+
+void RoundEngine::stage_rejoin_grants(std::int64_t iter,
+                                      std::int64_t admit_at, int absorbed) {
+  for (int w : net_.take_rejoin_grants()) {
+    if (w == absorbed || w < 1 || w > static_cast<int>(net_.n_workers())) {
+      continue;
+    }
+    if (availability_ != nullptr &&
+        availability_->within_crash_rejoin(w, iter)) {
+      continue;
+    }
+    stage_readmission(w, admit_at, iter);
+    net_.announce_admission(w, admit_at);
   }
 }
 
@@ -179,7 +198,7 @@ bool RoundEngine::process_membership(std::int64_t iter) {
       // incarnation is gone and the restarted one may still be dialing.
       // Wait for it so the admission round is the scheduled one on
       // every role. (In simulation await_alive returns immediately.)
-      alive = net_.await_alive(w, cfg_.readmit_wait_s);
+      alive = net_.await_alive(w, kReadmitWaitS);
     }
     const bool scheduled =
         availability_ == nullptr || availability_->present(w, iter);
@@ -203,17 +222,7 @@ bool RoundEngine::process_membership(std::int64_t iter) {
           // transport grant; absorb it — the schedule owns this
           // admission. Grants for OTHER workers that happened to land
           // in the same drain are unscheduled and staged normally.
-          for (int g : net_.take_rejoin_grants()) {
-            if (g == w || g < 1 || g > static_cast<int>(net_.n_workers())) {
-              continue;
-            }
-            if (availability_ != nullptr &&
-                availability_->within_crash_rejoin(g, iter)) {
-              continue;
-            }
-            stage_readmission(g, iter + 1, iter);
-            net_.announce_admission(g, iter + 1);
-          }
+          stage_rejoin_grants(iter, iter + 1, /*absorbed=*/w);
         }
         continue;
       }
@@ -337,21 +346,27 @@ std::optional<dist::Message> RoundEngine::collect_one(
   };
   for (;;) {
     if (waiting.empty()) return std::nullopt;
+    // A waiting sender that died and re-dialed between two looks never
+    // reads as dead: its rejoin grant is the only sign that this
+    // round's feedback will not come. Staging the grant replays its
+    // fail-stop (present_ drops it). It admits at iter + 2, the round
+    // the next boundary's harvest would pick, and the !admit still
+    // precedes that round's data frames.
+    if (cfg_.role.runs_server()) stage_rejoin_grants(iter, iter + 2);
     // Pop anything already queued before looking at liveness: a sender
     // that died AFTER shipping its feedback must still be folded — the
     // transport's per-connection FIFO enqueued the message before the
     // EOF that killed it.
-    if (auto msg = net_.try_receive_tagged(dist::kServerId,
-                                           cfg_.feedback_tag)) {
+    if (auto msg = net_.try_receive_tagged(dist::kServerId, kFeedbackTag)) {
       return deliver(std::move(*msg));
     }
-    // Nothing queued: a dead waiting sender can never deliver anymore.
-    // Prune it from the round — membership-wise this is an unscheduled
-    // permanent leave, observed mid-round.
+    // Nothing queued: a dead (or replayed) waiting sender can never
+    // deliver anymore. Prune it from the round — membership-wise this is
+    // an unscheduled permanent leave, observed mid-round.
     bool pruned = false;
     for (std::size_t j = 0; j < waiting.size();) {
       const int w = waiting[j];
-      if (net_.is_alive(w)) {
+      if (net_.is_alive(w) && present_[static_cast<std::size_t>(w)]) {
         ++j;
         continue;
       }
@@ -375,7 +390,7 @@ std::optional<dist::Message> RoundEngine::collect_one(
     // real timeout from a membership wake-up: on a bump the transport
     // returns nullopt early so this loop re-checks liveness above.
     const std::uint64_t epoch0 = net_.membership_epoch();
-    if (auto msg = net_.receive_tagged(dist::kServerId, cfg_.feedback_tag)) {
+    if (auto msg = net_.receive_tagged(dist::kServerId, kFeedbackTag)) {
       return deliver(std::move(*msg));
     }
     if (net_.membership_epoch() == epoch0) {
@@ -386,37 +401,17 @@ std::optional<dist::Message> RoundEngine::collect_one(
   }
 }
 
-void RoundEngine::collect_sync(std::vector<int> waiting, std::size_t k_eff,
-                               std::int64_t iter) {
-  std::vector<dist::Message> batch;
-  batch.reserve(waiting.size());
-  while (!waiting.empty()) {
-    auto msg = collect_one(waiting, iter);
-    if (!msg) break;  // pruning emptied the round: fold what arrived
-    batch.push_back(std::move(*msg));
-  }
-  if (batch.empty()) {
-    // No feedback at all: skip the fold entirely. An optimizer step on
-    // zero gradients is NOT a no-op (Adam's moments keep moving the
-    // parameters), so an empty round must not touch the generator.
-    MDGAN_LOG_WARN << "iteration " << iter
-                   << ": every feedback sender died mid-round; skipping "
-                      "the fold";
-    return;
-  }
-  delegate_.fold_sync(std::move(batch), k_eff);
-}
-
-void RoundEngine::collect_async(std::vector<int> waiting, std::size_t k_eff,
-                                std::int64_t iter) {
-  // One optimizer step per arrival, no barrier. `applied` doubles as
-  // the staleness of the next message: every applied step moved the
-  // generator away from the parameters that produced this round's
-  // batches.
+void RoundEngine::collect(std::vector<int> waiting, std::size_t k_eff,
+                          std::int64_t iter) {
+  // Sync folds the whole round once, at the barrier; async folds every
+  // arrival on its own, with no barrier. `applied` is the staleness of
+  // the next arrival: every step already applied this round moved the
+  // generator away from the parameters that produced its batches. The
+  // sync barrier applies none before its fold, so its staleness is 0.
+  const bool per_arrival = cfg_.mode == ServerMode::kAsync;
   std::size_t applied = 0;
-  while (!waiting.empty()) {
-    auto msg = collect_one(waiting, iter);
-    if (!msg) break;  // pruning emptied the round
+  std::vector<dist::Message> batch;
+  while (auto msg = collect_one(waiting, iter)) {
     if (feedback_staleness_ != nullptr) {
       feedback_staleness_->observe(static_cast<double>(applied));
     }
@@ -430,8 +425,33 @@ void RoundEngine::collect_async(std::vector<int> waiting, std::size_t k_eff,
       }
       continue;
     }
-    delegate_.apply_async(std::move(*msg), applied, k_eff);
-    ++applied;
+    batch.push_back(std::move(*msg));
+    if (per_arrival) {
+      delegate_.fold(std::exchange(batch, {}), applied++, k_eff);
+    }
+  }
+  if (per_arrival) return;
+  if (batch.empty()) {
+    // No feedback at all: skip the fold entirely. An optimizer step on
+    // zero gradients is NOT a no-op (Adam's moments keep moving the
+    // parameters), so an empty round must not touch the generator.
+    MDGAN_LOG_WARN << "iteration " << iter
+                   << ": every feedback sender died mid-round; skipping "
+                      "the fold";
+    return;
+  }
+  delegate_.fold(std::move(batch), /*staleness=*/0, k_eff);
+}
+
+void RoundEngine::end_round(std::int64_t iter, double round_start_s) {
+  // Clamped at 0: a crash can remove the node that held the max clock
+  // from the alive set, which must not read as negative elapsed time.
+  const double round_s = std::max(0.0, net_.max_sim_time() - round_start_s);
+  delegate_.end_round(iter, round_s);
+  if (round_duration_s_ != nullptr) round_duration_s_->observe(round_s);
+  if (rounds_total_ != nullptr) rounds_total_->inc();
+  if (cfg_.sink != nullptr) {
+    cfg_.sink->round_completed(iter, net_.max_sim_time());
   }
 }
 
@@ -465,13 +485,7 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
         break;
       }
       // Idle round: nobody is here, but somebody is scheduled back.
-      const double idle_s = std::max(0.0, net_.max_sim_time() - round_start_s);
-      delegate_.end_round(i, idle_s);
-      if (round_duration_s_ != nullptr) round_duration_s_->observe(idle_s);
-      if (rounds_total_ != nullptr) rounds_total_->inc();
-      if (cfg_.sink != nullptr) {
-        cfg_.sink->round_completed(i, net_.max_sim_time());
-      }
+      end_round(i, round_start_s);
       last_completed = i;
       continue;
     }
@@ -490,12 +504,7 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
     if (cfg_.role.runs_server()) {
       obs::Span s(tr, "phase:collect", obs::Cat::kPhase, self, i);
       live(i, "collect");
-      auto senders = delegate_.feedback_senders(discs);
-      if (cfg_.mode == ServerMode::kSync) {
-        collect_sync(std::move(senders), k_eff, i);
-      } else {
-        collect_async(std::move(senders), k_eff, i);
-      }
+      collect(delegate_.feedback_senders(discs), k_eff, i);
     }
 
     if (cfg_.swap_enabled && i % cfg_.swap_period == 0) {
@@ -503,15 +512,7 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
       live(i, "swap");
       delegate_.swap(i, present_workers());
     }
-    // Clamped at 0: a crash can remove the node that held the max clock
-    // from the alive set, which must not read as negative elapsed time.
-    const double round_s = std::max(0.0, net_.max_sim_time() - round_start_s);
-    delegate_.end_round(i, round_s);
-    if (round_duration_s_ != nullptr) round_duration_s_->observe(round_s);
-    if (rounds_total_ != nullptr) rounds_total_->inc();
-    if (cfg_.sink != nullptr) {
-      cfg_.sink->round_completed(i, net_.max_sim_time());
-    }
+    end_round(i, round_start_s);
     last_completed = i;
   }
   live(last_completed, "idle");

@@ -2,9 +2,9 @@
 // used to live inline in the MdGan::train monolith. The engine owns the
 // *mechanics* of a distributed round — membership, sequencing, the
 // server-side receive loop, swap scheduling, round timing — while the
-// GAN protocol itself (what a broadcast, a feedback fold, an async step
-// or a swap actually computes) stays behind the RoundDelegate interface
-// the trainer implements.
+// GAN protocol itself (what a broadcast, a feedback fold or a swap
+// actually computes) stays behind the RoundDelegate interface the
+// trainer implements.
 //
 // One round moves through a fixed phase sequence:
 //
@@ -18,22 +18,20 @@
 //   kBroadcast   server roles hand the round's participants to the
 //                delegate, which generates and sends the batches.
 //   kLocal       worker-side work: every participating discriminator
-//                trains and ships its feedback (in-process: fanned out
-//                over the cluster pool; a worker role runs only the
-//                discriminators it hosts).
+//                hosted by a worker this process embodies
+//                (NodeRole::embodies) trains and ships its feedback.
 //   kCollect     the server-side receive loop. It consumes the round's
-//                (sender, seq)-ordered feedback messages and dispatches
-//                by ServerMode policy:
-//                  kSync   collect every expected feedback, then hand
-//                          the whole batch to fold_sync — the delegate
-//                          folds by sender at the barrier, reproducing
-//                          the synchronous trainer bit-identically;
-//                  kAsync  hand each message to apply_async on arrival
-//                          (one optimizer step per feedback, no
-//                          barrier), guarded by bounded staleness: a
-//                          feedback whose batch is older than
-//                          max_staleness applied steps is dropped, not
-//                          applied.
+//                (sender, seq)-ordered feedback messages and hands them
+//                to the delegate's one fold, batched by ServerMode:
+//                  kSync   one fold per round at the barrier, with every
+//                          feedback that arrived and staleness 0 — the
+//                          delegate folds by sender, reproducing the
+//                          synchronous trainer bit-identically;
+//                  kAsync  one fold per arrival, a batch of one, with
+//                          the number of steps already applied this
+//                          round as its staleness (no barrier).
+//                A feedback older than max_staleness applied steps is
+//                dropped, not folded (only async feedback ages).
 //   kSwap        when the swap period divides the round index, the
 //                delegate replays the swap schedule over the *present*
 //                workers only — absent workers are skipped
@@ -77,7 +75,17 @@ struct NodeRole {
   static NodeRole worker(int id) { return {Kind::kWorker, id}; }
 
   bool runs_server() const { return kind != Kind::kWorker; }
+  // Whether this process plays worker `worker`'s part of the protocol:
+  // in-process plays every worker, a worker role only itself, and the
+  // server none.
+  bool embodies(int worker) const {
+    return kind == Kind::kInProcess ||
+           (kind == Kind::kWorker && worker == worker_id);
+  }
 };
+
+// Tag of the worker->server feedback messages the collect loop pops.
+inline constexpr char kFeedbackTag[] = "feedback";
 
 // Server policy for the collect phase (§VII-1 of the paper).
 enum class ServerMode {
@@ -140,16 +148,15 @@ class RoundDelegate {
   virtual std::vector<int> feedback_senders(
       const std::vector<std::size_t>& discs) = 0;
 
-  // kCollect, ServerMode::kSync: every feedback of the round, in the
-  // (sender, seq) order the receive loop popped them. A mid-round death
-  // can shrink the batch below the participant count.
-  virtual void fold_sync(std::vector<dist::Message>&& feedbacks,
-                         std::size_t k_eff) = 0;
-  // kCollect, ServerMode::kAsync: one message on arrival. `staleness`
-  // is the number of optimizer steps applied since the message's batch
-  // was generated (0 for the first feedback of a round).
-  virtual void apply_async(dist::Message&& feedback, std::size_t staleness,
-                           std::size_t k_eff) = 0;
+  // kCollect: fold `feedbacks` (never empty, in the (sender, seq)
+  // order the receive loop popped them) into one generator update.
+  // ServerMode::kSync hands over the whole round once — a mid-round
+  // death can shrink it below the participant count — and kAsync one
+  // message per arrival. `staleness` is the number of updates applied
+  // since the feedbacks' batches were generated: always 0 in sync, the
+  // message's position among this round's applied arrivals in async.
+  virtual void fold(std::vector<dist::Message>&& feedbacks,
+                    std::size_t staleness, std::size_t k_eff) = 0;
 
   // kSwap: replay the swap schedule over the present workers.
   virtual void swap(std::int64_t iter,
@@ -171,14 +178,6 @@ struct RoundEngineConfig {
   // staleness exceeds this many applied steps. SIZE_MAX disables the
   // guard — every feedback is applied, the pre-engine §VII-1 behavior.
   std::size_t max_staleness = static_cast<std::size_t>(-1);
-  // Tag of the worker->server feedback messages the collect loop pops.
-  std::string feedback_tag = "feedback";
-  // How long a SCHEDULED crash-rejoin waits at the admission round for
-  // the restarted worker to reconnect (Transport::await_alive). Pins
-  // the admission round across roles when the rejoiner is a real
-  // process restart; a no-op in simulation (await_alive returns
-  // immediately there).
-  double readmit_wait_s = 30.0;
   // Optional telemetry sink (not owned, may outlive-the-run null = off):
   // the engine emits one kRound span per round plus one kPhase span per
   // phase, observes round_duration_seconds and feedback_staleness,
@@ -222,6 +221,12 @@ class RoundEngine {
   // iter + 1 and announcing that round) / admission broadcasts (worker
   // roles, at the server's announced round) into pending_readmit_.
   void harvest_readmissions(std::int64_t iter);
+  // Server roles: stages every drained transport rejoin grant for
+  // admission at `admit_at` and announces it — except a grant for
+  // `absorbed` (a scheduled re-admission already owns it) and grants a
+  // scheduled crash-rejoin covers.
+  void stage_rejoin_grants(std::int64_t iter, std::int64_t admit_at,
+                           int absorbed = 0);
   // Stages `w` for re-admission at round `admit_at`. If w was never
   // marked lost — its death and restart both fell inside one round
   // window, so no boundary observed it dead — the grant itself is the
@@ -238,18 +243,24 @@ class RoundEngine {
 
   // Pops the next feedback while `waiting` (one entry per expected
   // message, the sender's id) is non-empty, degrading the round under
-  // it: a waiting sender the transport lost is first drained — its
-  // feedback may have been enqueued before its connection died — and
-  // otherwise pruned (present_ drops it, on_leave(permanent) fires).
+  // it: a waiting sender the transport lost — or that died and already
+  // re-dialed, which only its rejoin grant shows — is first drained
+  // (its feedback may have been enqueued before its connection died)
+  // and otherwise pruned (present_ drops it, on_leave(permanent)
+  // fires).
   // nullopt when pruning emptied `waiting`; throws std::logic_error
   // only when nothing arrived, membership stayed quiet, and every
   // waiting sender is still alive (the legacy lost-message failure).
   std::optional<dist::Message> collect_one(std::vector<int>& waiting,
                                            std::int64_t iter);
-  void collect_sync(std::vector<int> waiting, std::size_t k_eff,
-                    std::int64_t iter);
-  void collect_async(std::vector<int> waiting, std::size_t k_eff,
-                     std::int64_t iter);
+  // kCollect: pops the round's feedbacks and hands them to
+  // RoundDelegate::fold, once per round (sync) or per arrival (async).
+  void collect(std::vector<int> waiting, std::size_t k_eff,
+               std::int64_t iter);
+  // kEndRound bookkeeping of round `iter`, begun at `round_start_s`:
+  // the delegate's end_round, round_duration_seconds, rounds_total and
+  // Sink::round_completed.
+  void end_round(std::int64_t iter, double round_start_s);
 
   // The sink's tracer when span recording is on, else nullptr.
   obs::Tracer* trace() const {

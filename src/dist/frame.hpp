@@ -59,6 +59,10 @@
 //   !pong    W->S  heartbeat echo: the !ping payload verbatim (plus the
 //                  optional worker clock stamp); the server recovers
 //                  the RTT from the echoed timestamp.
+//   !bye     W->S  orderly end of run: empty payload, sent after the
+//                  worker's last round. The server maps the EOF that
+//                  follows to fail-stop and fans out !death/!epoch as
+//                  for a crash, but counts no peer death.
 //   !stats   any->S one-shot introspection: a client dials the server,
 //                  sends !hello-position frame tagged !stats (empty
 //                  payload), and receives a single !stats reply whose
@@ -115,6 +119,7 @@ inline constexpr char kTagAdmit[] = "!admit";
 inline constexpr char kTagPing[] = "!ping";
 inline constexpr char kTagPong[] = "!pong";
 inline constexpr char kTagStats[] = "!stats";
+inline constexpr char kTagBye[] = "!bye";
 
 // Compact causal-trace context carried in every frame head. `span` is
 // the flow id the sender's send:<tag> trace event carries (0 = frame

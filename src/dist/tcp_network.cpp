@@ -92,9 +92,7 @@ TcpNetwork::TcpNetwork(int local, std::size_t n_workers, Options opts)
     : local_(local),
       n_workers_(n_workers),
       opts_(opts),
-      liveness_(n_workers, LivenessConfig{opts.heartbeat_interval_s,
-                                          opts.suspect_after_s,
-                                          opts.grace_s}) {
+      liveness_(n_workers, opts.liveness) {
   if (n_workers_ == 0) {
     throw std::invalid_argument("TcpNetwork: need at least one worker");
   }
@@ -488,6 +486,7 @@ void TcpNetwork::drop_conn(int peer) {
   c.out_blocked = false;
   c.dec = FrameDecoder();
   c.relay_wait = -1;
+  c.said_bye = false;
   ++c.generation;  // producers waiting for this connection give up
   cv_.notify_all();
 }
@@ -794,10 +793,17 @@ void TcpNetwork::handle_control(int peer, const Frame& f) {
     ByteBuffer payload = ByteBuffer::wrap(f.payload.data(),
                                           f.payload.size());
     if (local_ == kServerId) {
-      // Server side: the only worker->server control frame is the
-      // heartbeat echo. deliver() already fed the tracker; here
-      // we only recover the RTT. A pong with a garbage payload or a
-      // mismatched source is dropped like any malformed control frame.
+      // Server side: a worker's goodbye marks its connection so the EOF
+      // that follows reads as an orderly end of run, not a crash.
+      if (f.tag == kTagBye && f.src == peer) {
+        std::lock_guard<std::mutex> lock(mu_);
+        conns_[static_cast<std::size_t>(peer)].said_bye = true;
+        return;
+      }
+      // The only other worker->server control frame is the heartbeat
+      // echo. deliver() already fed the tracker; here we only recover
+      // the RTT. A pong with a garbage payload or a mismatched source is
+      // dropped like any malformed control frame.
       if (f.tag == kTagPong && f.src == peer) {
         payload.read_pod<std::uint64_t>();  // sequence, unused
         const double sent_s = payload.read_pod<double>();
@@ -992,6 +998,7 @@ void TcpNetwork::mark_dead(int peer) {
   ConnRxStats rx;
   std::size_t inflight_msgs = 0, inflight_bytes = 0;
   std::uint64_t epoch = 0;
+  bool said_bye = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto pi = static_cast<std::size_t>(peer);
@@ -1001,6 +1008,7 @@ void TcpNetwork::mark_dead(int peer) {
     epoch = ++epoch_;
     Conn& conn = conns_[pi];
     rx = conn.rx;
+    said_bye = conn.said_bye;
     // Sever now; the loop closes the fd (only it ever does, under mu_,
     // so the number cannot be reused here) and drops the queue.
     if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
@@ -1018,9 +1026,15 @@ void TcpNetwork::mark_dead(int peer) {
       broadcast_control(kTagEpoch, encode_epoch_locked());
     }
   }
-  obs_peer_death(peer, elapsed_s());
   obs_membership_epoch(epoch);
-  if (!closing_.load()) {
+  if (said_bye) {
+    // An orderly end of run: the same membership change, but no death.
+    MDGAN_LOG_INFO << "TcpNetwork: worker " << peer
+                   << " said bye and disconnected (epoch " << epoch << ")";
+  } else {
+    obs_peer_death(peer, elapsed_s());
+  }
+  if (!said_bye && !closing_.load()) {
     // Drop diagnostics BEFORE the fail-stop mapping takes effect: who
     // died, how far ITS OWN stream got (per-connection, not the
     // endpoint-global last arrival), and what is still parked locally.
@@ -1296,6 +1310,16 @@ std::vector<Transport::Admission> TcpNetwork::take_admissions() {
   std::vector<Admission> out;
   out.swap(admissions_);
   return out;
+}
+
+void TcpNetwork::say_bye() {
+  if (local_ == kServerId) {
+    throw std::logic_error("TcpNetwork: only a worker endpoint says bye");
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  enqueue(kServerId,
+          OutFrame{encode_frame(local_, kServerId, kTagBye, ByteBuffer{}), {}},
+          &lock);
 }
 
 void TcpNetwork::announce_admission(int worker, std::int64_t round) {

@@ -39,7 +39,9 @@
 // (EOF or a socket error on read/write) marks the peer dead exactly
 // like SimNetwork::crash: it leaves alive_workers(), and future sends
 // to it are silently dropped. crash(w) on the server endpoint actively
-// severs the connection.
+// severs the connection. A worker that finished its run says `!bye`
+// first (say_bye): its EOF takes the same membership path but is not
+// counted or recorded as a death.
 //
 // Control plane: only the server endpoint observes a worker's TCP drop
 // directly, so it runs a small '!'-tagged control-frame protocol (see
@@ -107,17 +109,16 @@ struct TcpOptions {
   // trips first.
   int dial_retries = 100;
   double dial_backoff_ms = 25.0;
-  // Heartbeats (server endpoint): `!ping` every heartbeat_interval_s
-  // from the I/O loop; 0 (default) disables them and with them the
-  // suspect machinery — liveness then only reacts to connection drops,
-  // the pre-liveness behavior. A worker silent for suspect_after_s is
-  // SUSPECTED (logged + counted, nothing evicted; the engine degrades
-  // exactly as it does for a slow worker); silent for a further grace_s
-  // it is declared dead and evicted through the normal !death path. Any
-  // frame from a suspect re-seats it with no epoch change.
-  double heartbeat_interval_s = 0.0;
-  double suspect_after_s = 2.0;
-  double grace_s = 8.0;
+  // Heartbeats (server endpoint): `!ping` every
+  // liveness.heartbeat_interval_s from the I/O loop; 0 (default)
+  // disables them and with them the suspect machinery — liveness then
+  // only reacts to connection drops, the pre-liveness behavior. A
+  // worker silent for suspect_after_s is SUSPECTED (logged + counted,
+  // nothing evicted; the engine degrades exactly as it does for a slow
+  // worker); silent for a further grace_s it is declared dead and
+  // evicted through the normal !death path. Any frame from a suspect
+  // re-seats it with no epoch change.
+  LivenessConfig liveness;
   // Bound of each connection's send queue (frames). A producer thread
   // (send, announce_admission, ship_rejoin_state) finding the queue full
   // blocks until the I/O loop writes a frame out or the peer dies
@@ -167,6 +168,14 @@ class TcpNetwork final : public Transport {
   // every connection. Any blocked wait_ready()/receive_tagged() returns
   // false/nullopt.
   void close();
+
+  // Worker endpoint: tell the server this worker's run ended in order
+  // (a `!bye` frame). Call after the last round and before close(),
+  // which flushes it. The server still maps the EOF that follows to
+  // fail-stop and fans it out, so survivors see the same membership,
+  // but it counts no peer death. A close() without it keeps its crash
+  // meaning.
+  void say_bye();
 
   // True once the server granted this worker endpoint a rejoin (its id
   // had dialed in before on a connection that has since died).
@@ -265,6 +274,7 @@ class TcpNetwork final : public Transport {
     int relay_wait = -1;        // paused until this slot's queue drains
     double hello_deadline = 0;  // pending: dropped if no hello by then
     bool reply_then_close = false;  // pending: answered a !stats probe
+    bool said_bye = false;  // server: the peer sent !bye; under mu_
   };
   struct Stored {
     std::uint64_t seq = 0;
@@ -332,7 +342,8 @@ class TcpNetwork final : public Transport {
   void broadcast_control(const char* tag, const ByteBuffer& payload);
   void charge(int src, int dst, const std::string& tag, std::size_t bytes);
   // Marks `peer` dead (fail-stop): severs its socket, and on the server
-  // fans the !death + !epoch notices out to the survivors.
+  // fans the !death + !epoch notices out to the survivors. Counted as a
+  // peer death unless the peer said !bye first.
   void mark_dead(int peer);
   void poke();
   void on_sink_attached() override;

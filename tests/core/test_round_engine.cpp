@@ -1,8 +1,8 @@
 // The event-driven round engine: phase sequencing and membership at the
 // engine level (scripted delegate over a SimNetwork), the async
 // bounded-staleness guard, and the refactor's acceptance property — the
-// engine-driven sync trainer is bit-identical to a straight-line
-// reference implementation of the pre-engine monolithic loop (same RNG
+// engine-driven trainer, sync and async, is bit-identical to a
+// straight-line reference implementation of the monolithic loop (same RNG
 // streams, same fold order, same swap replay), written here without any
 // Transport so the two cannot share the code under test.
 #include "core/round_engine.hpp"
@@ -41,7 +41,7 @@ struct ScriptedDelegate : RoundDelegate {
   std::vector<std::string> trace;
   std::vector<std::pair<int, bool>> leaves;  // (worker, permanent)
   std::vector<int> joins;
-  int async_applied = 0;
+  int folded = 0;  // feedback messages handed to fold
 
   explicit ScriptedDelegate(dist::Transport& n) : net(n) {}
 
@@ -81,14 +81,11 @@ struct ScriptedDelegate : RoundDelegate {
                std::move(buf));
     }
   }
-  void fold_sync(std::vector<dist::Message>&& feedbacks,
-                 std::size_t) override {
-    trace.push_back("fold:" + std::to_string(feedbacks.size()));
-  }
-  void apply_async(dist::Message&&, std::size_t staleness,
-                   std::size_t) override {
-    trace.push_back("apply:s" + std::to_string(staleness));
-    ++async_applied;
+  void fold(std::vector<dist::Message>&& feedbacks, std::size_t staleness,
+            std::size_t) override {
+    trace.push_back("fold:" + std::to_string(feedbacks.size()) + ",s" +
+                    std::to_string(staleness));
+    folded += static_cast<int>(feedbacks.size());
   }
   void swap(std::int64_t, const std::vector<int>& present) override {
     trace.push_back("swap:" + std::to_string(present.size()));
@@ -105,8 +102,8 @@ TEST(RoundEngine, SyncPhaseOrderAndSwapPeriod) {
   cfg.swap_period = 2;  // swap after rounds 2 and 4
   EXPECT_EQ(RoundEngine(net, cfg, d).run(1, 2), 2);
   EXPECT_EQ(d.trace, (std::vector<std::string>{
-                         "broadcast:2,k1", "local:2", "fold:2", "end:1",
-                         "broadcast:2,k1", "local:2", "fold:2", "swap:2",
+                         "broadcast:2,k1", "local:2", "fold:2,s0", "end:1",
+                         "broadcast:2,k1", "local:2", "fold:2,s0", "swap:2",
                          "end:2"}));
 }
 
@@ -142,9 +139,9 @@ TEST(RoundEngine, TemporaryLeaveFiresMembershipAndShrinksRounds) {
   EXPECT_EQ(d.joins, (std::vector<int>{2}));
   EXPECT_TRUE(net.is_alive(2));  // a temporary leave is not a crash
   EXPECT_EQ(d.trace, (std::vector<std::string>{
-                         "broadcast:2,k1", "local:2", "fold:2", "end:1",
-                         "broadcast:1,k1", "local:1", "fold:1", "end:2",
-                         "broadcast:2,k1", "local:2", "fold:2", "end:3"}));
+                         "broadcast:2,k1", "local:2", "fold:2,s0", "end:1",
+                         "broadcast:1,k1", "local:1", "fold:1,s0", "end:2",
+                         "broadcast:2,k1", "local:2", "fold:2,s0", "end:3"}));
 }
 
 TEST(RoundEngine, PermanentLeaveCrashesInProcess) {
@@ -173,7 +170,7 @@ TEST(RoundEngine, IdleRoundsWhileEveryoneIsAway) {
   // Rounds 1 and 2 are idle (no broadcast/local/fold), round 3 runs.
   EXPECT_EQ(d.trace, (std::vector<std::string>{
                          "end:1", "end:2", "broadcast:1,k1", "local:1",
-                         "fold:1", "end:3"}));
+                         "fold:1,s0", "end:3"}));
 }
 
 TEST(RoundEngine, StopsWhenNobodyReturns) {
@@ -196,8 +193,8 @@ TEST(RoundEngine, AsyncAppliesPerFeedbackWithStaleness) {
   RoundEngine engine(net, cfg, d);
   EXPECT_EQ(engine.run(1, 1), 1);
   EXPECT_EQ(d.trace, (std::vector<std::string>{
-                         "broadcast:3,k1", "local:3", "apply:s0",
-                         "apply:s1", "apply:s2", "end:1"}));
+                         "broadcast:3,k1", "local:3", "fold:1,s0",
+                         "fold:1,s1", "fold:1,s2", "end:1"}));
   EXPECT_EQ(engine.stale_dropped(), 0);
 }
 
@@ -210,7 +207,7 @@ TEST(RoundEngine, BoundedStalenessDropsLateFeedback) {
   cfg.max_staleness = 1;  // at most 2 applied steps per round
   RoundEngine engine(net, cfg, d, nullptr);
   EXPECT_EQ(engine.run(1, 2), 2);
-  EXPECT_EQ(d.async_applied, 4);        // 2 per round
+  EXPECT_EQ(d.folded, 4);               // 2 per round
   EXPECT_EQ(engine.stale_dropped(), 2);  // 1 dropped per round
 }
 
@@ -260,9 +257,9 @@ TEST(RoundEngine, MidRoundDeathShrinksCollectInsteadOfThrowing) {
   // feedbacks that arrived instead of throwing, and the run completes.
   EXPECT_EQ(engine.run(1, 3), 3);
   EXPECT_EQ(d.trace, (std::vector<std::string>{
-                         "broadcast:3,k1", "local:3", "fold:3", "end:1",
-                         "broadcast:3,k1", "local:3", "fold:2", "end:2",
-                         "broadcast:2,k1", "local:2", "fold:2", "end:3"}));
+                         "broadcast:3,k1", "local:3", "fold:3,s0", "end:1",
+                         "broadcast:3,k1", "local:3", "fold:2,s0", "end:2",
+                         "broadcast:2,k1", "local:2", "fold:2,s0", "end:3"}));
   // Exactly one permanent leave, observed mid-round (not re-fired by
   // the next round's membership pass).
   EXPECT_EQ(d.leaves, (std::vector<std::pair<int, bool>>{{3, true}}));
@@ -280,9 +277,9 @@ TEST(RoundEngine, FeedbackSentBeforeDeathIsStillFolded) {
   // Round 2's fold still counts all 3: the victim's feedback was
   // enqueued before its death and must be drained, not dropped.
   EXPECT_EQ(d.trace, (std::vector<std::string>{
-                         "broadcast:3,k1", "local:3", "fold:3", "end:1",
-                         "broadcast:3,k1", "local:3", "fold:3", "end:2",
-                         "broadcast:2,k1", "local:2", "fold:2", "end:3"}));
+                         "broadcast:3,k1", "local:3", "fold:3,s0", "end:1",
+                         "broadcast:3,k1", "local:3", "fold:3,s0", "end:2",
+                         "broadcast:2,k1", "local:2", "fold:2,s0", "end:3"}));
   EXPECT_EQ(d.leaves, (std::vector<std::pair<int, bool>>{{3, true}}));
 }
 
@@ -295,7 +292,9 @@ TEST(RoundEngine, MidRoundDeathDegradesAsyncCollectToo) {
   cfg.swap_enabled = false;
   RoundEngine engine(net, cfg, d);
   EXPECT_EQ(engine.run(1, 1), 1);
-  EXPECT_EQ(d.async_applied, 2);  // workers 1 and 3 only
+  EXPECT_EQ(d.trace, (std::vector<std::string>{
+                         "broadcast:3,k1", "local:3", "fold:1,s0",
+                         "fold:1,s1", "end:1"}));  // workers 1 and 3 only
   EXPECT_EQ(d.leaves, (std::vector<std::pair<int, bool>>{{2, true}}));
 }
 
@@ -349,10 +348,15 @@ TEST(RoundEngine, MissingFeedbackFromLiveWorkerStillThrows) {
 // sender-ordered fold, same swap replay (θ only, Adam moments reset) —
 // but no Transport, no engine, no MdGan. The engine-driven trainer must
 // reproduce it bit for bit.
+//
+// `async_damping` >= 0 switches the server to the §VII-1 async update:
+// each feedback, in sender order, gets its own zero_grad / re-forward /
+// backward and an Adam step scaled by 1/(1 + damping * staleness),
+// where staleness counts the steps already applied this round.
 std::vector<float> reference_sync_train(
     const gan::GanArch& arch, const gan::GanHyperParams& hp, std::size_t k,
     std::vector<data::InMemoryDataset> shards, std::uint64_t seed,
-    std::int64_t iters, bool swap_enabled) {
+    std::int64_t iters, bool swap_enabled, float async_damping = -1.f) {
   const std::size_t n = shards.size();
   const std::size_t b = hp.batch;
   gan::ClassCodes codes(arch.image.num_classes, arch.latent_dim);
@@ -422,25 +426,35 @@ std::vector<float> reference_sync_train(
               [](const RefFeedback& a, const RefFeedback& b2) {
                 return a.from < b2.from;
               });
-    std::vector<Tensor> upstream(k_eff);
-    std::vector<std::size_t> counts(k_eff, 0);
-    for (auto& fb : feedbacks) {
-      if (upstream[fb.batch].empty()) {
-        upstream[fb.batch] = std::move(fb.grad);
-      } else {
-        upstream[fb.batch] += fb.grad;
+    if (async_damping >= 0.f) {
+      for (std::size_t s = 0; s < feedbacks.size(); ++s) {
+        g_opt.zero_grad();
+        g.forward(latents[feedbacks[s].batch], /*train=*/true);
+        g.backward(feedbacks[s].grad);
+        g_opt.step_scaled(1.f / (1.f + async_damping *
+                                           static_cast<float>(s)));
       }
-      ++counts[fb.batch];
+    } else {
+      std::vector<Tensor> upstream(k_eff);
+      std::vector<std::size_t> counts(k_eff, 0);
+      for (auto& fb : feedbacks) {
+        if (upstream[fb.batch].empty()) {
+          upstream[fb.batch] = std::move(fb.grad);
+        } else {
+          upstream[fb.batch] += fb.grad;
+        }
+        ++counts[fb.batch];
+      }
+      const float inv_n = 1.f / static_cast<float>(n);
+      g_opt.zero_grad();
+      for (std::size_t j = 0; j < k_eff; ++j) {
+        if (counts[j] == 0) continue;
+        g.forward(latents[j], /*train=*/true);
+        upstream[j] *= inv_n;
+        g.backward(upstream[j]);
+      }
+      g_opt.step();
     }
-    const float inv_n = 1.f / static_cast<float>(n);
-    g_opt.zero_grad();
-    for (std::size_t j = 0; j < k_eff; ++j) {
-      if (counts[j] == 0) continue;
-      g.forward(latents[j], /*train=*/true);
-      upstream[j] *= inv_n;
-      g.backward(upstream[j]);
-    }
-    g_opt.step();
 
     if (swap_enabled && i % period == 0 && n >= 2) {
       std::vector<int> targets;
@@ -494,6 +508,38 @@ TEST(RoundEngineMdGan, SyncEngineMatchesReferenceTrainerBitForBit) {
   MdGan md(arch, cfg, shards, seed, net);
   md.train(iters);
   EXPECT_EQ(md.generator().flatten_parameters(), want);
+}
+
+// The async server (§VII-1) against the same reference: one damped Adam
+// step per feedback, applied in sender order — the order SimNetwork
+// pops an in-process round's feedbacks in — with the swap on.
+TEST(RoundEngineMdGan, AsyncEngineMatchesReferenceTrainerBitForBit) {
+  const std::uint64_t seed = 71;
+  const std::size_t n = 3, per_shard = 16;
+  const std::int64_t iters = 5;  // period 2: swaps at 2 and 4
+  const auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
+  gan::GanHyperParams hp;
+  hp.batch = 8;
+  hp.disc_steps = 1;
+  const auto shards = shards_for(n, per_shard, seed);
+
+  for (const float damping : {0.f, 0.5f}) {
+    SCOPED_TRACE(damping);
+    const auto want = reference_sync_train(arch, hp, /*k=*/2, shards, seed,
+                                           iters, /*swap_enabled=*/true,
+                                           damping);
+    dist::SimNetwork net(n);
+    MdGanConfig cfg;
+    cfg.hp = hp;
+    cfg.k = 2;
+    cfg.parallel_workers = false;
+    cfg.async = true;
+    cfg.async_staleness_damping = damping;
+    MdGan md(arch, cfg, shards, seed, net);
+    md.train(iters);
+    EXPECT_EQ(md.generator_updates(), iters * static_cast<std::int64_t>(n));
+    EXPECT_EQ(md.generator().flatten_parameters(), want);
+  }
 }
 
 // Sync without swap, per architecture. The CNN case runs k = 2 through

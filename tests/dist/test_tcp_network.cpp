@@ -194,6 +194,121 @@ TEST(TcpNetwork, ConnectionDropIsFailStopCrash) {
   EXPECT_LT(waited, 5.0);  // well under the 20 s receive timeout
 }
 
+TEST(TcpNetwork, ByeEndsARunWithoutCountingADeath) {
+  obs::SinkConfig sc;
+  sc.force_flight = true;
+  obs::Sink sink(sc);
+  auto server = TcpNetwork::serve(0, 3, fast_opts());
+  server->set_sink(&sink);
+  std::vector<std::unique_ptr<TcpNetwork>> w;
+  for (int id = 1; id <= 3; ++id) {
+    w.push_back(TcpNetwork::connect("127.0.0.1", server->port(), id, 3,
+                                    fast_opts()));
+  }
+  ASSERT_TRUE(server->wait_ready());
+  for (auto& endpoint : w) ASSERT_TRUE(endpoint->wait_ready());
+
+  // Worker 1 finishes in order; worker 2 just closes, like a crash.
+  w[0]->say_bye();
+  w[0]->close();
+  w[1]->close();
+  ASSERT_TRUE(eventually(
+      [&] { return !server->is_alive(1) && !server->is_alive(2); }));
+
+  // Both take the same membership path: two epoch bumps, and the
+  // survivor hears of both...
+  EXPECT_EQ(server->alive_workers(), (std::vector<int>{3}));
+  EXPECT_EQ(server->membership_epoch(), 2u);
+  ASSERT_TRUE(eventually([&] {
+    return !w[2]->is_alive(1) && !w[2]->is_alive(2);
+  }));
+  // ...but only the close without a goodbye is a death.
+  EXPECT_EQ(sink.registry().counter("peer_deaths_total").value(), 1u);
+  std::vector<int> dead;
+  for (const auto& e : sink.flight().snapshot()) {
+    if (e.kind == obs::FlightKind::kPeerDeath) dead.push_back(e.node);
+  }
+  EXPECT_EQ(dead, (std::vector<int>{2}));
+  EXPECT_THROW(server->say_bye(), std::logic_error);
+}
+
+// A worker that dies and re-dials before the server's collect looks at
+// it never reads as dead there. Its rejoin grant must drop it from the
+// round; otherwise the collect waits for a feedback the new incarnation
+// will never send, and throws once the receive times out.
+TEST(TcpNetwork, RestartBeforeTheCollectIsPrunedByItsGrant) {
+  TcpOptions opts = fast_opts();
+  opts.receive_timeout_s = 2.0;
+  auto server = TcpNetwork::serve(0, 2, opts);
+  auto w1 = TcpNetwork::connect("127.0.0.1", server->port(), 1, 2, opts);
+  auto w2 = TcpNetwork::connect("127.0.0.1", server->port(), 2, 2, opts);
+  ASSERT_TRUE(server->wait_ready());
+  ASSERT_TRUE(w1->wait_ready());
+
+  // Disc j lives on worker j + 1. In the local phase worker 1 ships its
+  // feedback while worker 2 is killed and restarted.
+  struct Delegate : core::RoundDelegate {
+    TcpNetwork& server;
+    TcpNetwork& w1;
+    std::unique_ptr<TcpNetwork>& w2;
+    std::vector<std::size_t> folds;
+    std::vector<int> leaves;
+
+    Delegate(TcpNetwork& s, TcpNetwork& a, std::unique_ptr<TcpNetwork>& b)
+        : server(s), w1(a), w2(b) {}
+    void on_leave(int worker, bool, std::int64_t) override {
+      leaves.push_back(worker);
+    }
+    void on_join(int, std::int64_t) override {}
+    void on_readmit(int, std::int64_t) override {}
+    std::vector<std::size_t> participants(
+        const std::vector<int>& present) override {
+      std::vector<std::size_t> out;
+      for (int w : present) out.push_back(static_cast<std::size_t>(w - 1));
+      return out;
+    }
+    std::vector<int> feedback_senders(
+        const std::vector<std::size_t>& discs) override {
+      std::vector<int> out;
+      for (std::size_t j : discs) out.push_back(static_cast<int>(j + 1));
+      return out;
+    }
+    void broadcast(const std::vector<std::size_t>&, std::size_t) override {}
+    void local_work(const std::vector<std::size_t>&) override {
+      w1.send(1, kServerId, core::kFeedbackTag, payload_of(1));
+      const auto port = server.port();
+      w2.reset();
+      ASSERT_TRUE(eventually([&] { return !server.is_alive(2); }));
+      w2 = TcpNetwork::connect("127.0.0.1", port, 2, 2, fast_opts());
+      ASSERT_TRUE(eventually([&] { return server.is_alive(2); }));
+    }
+    void fold(std::vector<Message>&& feedbacks, std::size_t,
+              std::size_t) override {
+      folds.push_back(feedbacks.size());
+    }
+    void swap(std::int64_t, const std::vector<int>&) override {}
+    void end_round(std::int64_t, double) override {}
+  } d(*server, *w1, w2);
+
+  core::RoundEngineConfig cfg;
+  cfg.role = core::NodeRole::server();
+  cfg.swap_enabled = false;
+  core::RoundEngine engine(*server, cfg, d);
+  EXPECT_EQ(engine.run(1, 1), 1);
+  EXPECT_EQ(d.folds, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(d.leaves, (std::vector<int>{2}));
+  EXPECT_FALSE(engine.is_present(2));
+  // Re-admitted two rounds out, the round the next boundary would pick,
+  // and announced to the survivor.
+  std::vector<Transport::Admission> admits;
+  ASSERT_TRUE(eventually([&] {
+    for (const auto& a : w1->take_admissions()) admits.push_back(a);
+    return !admits.empty();
+  }));
+  EXPECT_EQ(admits[0].worker, 2);
+  EXPECT_EQ(admits[0].round, 3);
+}
+
 // The subsystem's acceptance criterion: one tiny MD-GAN training run,
 // executed twice — in-process over the SimNetwork, and as three real
 // TCP endpoints (server + 2 worker roles on their own threads) over
@@ -573,9 +688,9 @@ int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
 
 TEST(TcpLiveness, SilentWorkerIsSuspectedThenReseatedByAFrame) {
   TcpOptions opts = fast_opts();
-  opts.heartbeat_interval_s = 0.05;
-  opts.suspect_after_s = 0.4;
-  opts.grace_s = 30.0;  // far away: this test must not reach death
+  opts.liveness.heartbeat_interval_s = 0.05;
+  opts.liveness.suspect_after_s = 0.4;
+  opts.liveness.grace_s = 30.0;  // far away: this test must not reach death
   auto server = TcpNetwork::serve(0, 1, opts);
   const int fd = raw_hello(server->port(), 1, 1);
   ASSERT_TRUE(server->wait_ready());
@@ -599,9 +714,9 @@ TEST(TcpLiveness, SilentWorkerIsSuspectedThenReseatedByAFrame) {
 
 TEST(TcpLiveness, SilenceOutlivingTheGraceWindowIsDeath) {
   TcpOptions opts = fast_opts();
-  opts.heartbeat_interval_s = 0.05;
-  opts.suspect_after_s = 0.3;
-  opts.grace_s = 0.4;
+  opts.liveness.heartbeat_interval_s = 0.05;
+  opts.liveness.suspect_after_s = 0.3;
+  opts.liveness.grace_s = 0.4;
   auto server = TcpNetwork::serve(0, 1, opts);
   const int fd = raw_hello(server->port(), 1, 1);
   ASSERT_TRUE(server->wait_ready());
